@@ -50,13 +50,13 @@ from .sequences import (
     project_cone_l2,
 )
 from .verify import (
+    OracleConvergenceError,
     qp_projection_oracle,
     refutation_threshold,
     refute_linearity,
     strict_residual_scan,
 )
 
-COMMANDS = ("project", "classify", "derive", "gateaux", "verify", "refute", "witness")
 SET_KINDS = ("ball", "cone_rn", "cone_l2")
 INPUT_KEYS = ("x", "w", "d", "n", "epsilon")
 OPTION_KEYS = ("seed", "steps", "radii", "samples_per_radius")
@@ -405,33 +405,30 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
 def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     x = _need(job, "x")
     steps = job.steps
-    if job.set_kind == "ball":
-        d = job.inputs.get("d")
-        if d is None:
-            d = x - job.ball.center
-        if float(np.linalg.norm(d)) == 0.0:
-            raise JobError("refutation direction is zero; supply input d")
-        gap = refute_linearity(lambda p: project_ball(job.ball, p), x, d, steps)
-        threshold = refutation_threshold(x, d, steps)
-        lines.append(f"direction = {fmt_vec(d)}")
-    elif job.set_kind == "cone_rn":
-        d = job.inputs.get("d")
-        if d is not None:
-            gap = refute_linearity(project_cone, x, d, steps)
-            threshold = refutation_threshold(x, d, steps)
-            lines.append(f"direction = {fmt_vec(d)}")
-        else:
-            try:
-                cert = cone_refute_frechet(x, steps)
-            except ValueError as e:
-                raise JobError(f"{e}; supply input d for a custom probe") from e
-            gap, d = cert.gap, cert.direction
-            threshold = refutation_threshold(x, d, steps)
-            lines.append(f"direction = {fmt_vec(cert.direction)}")
-            lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
-            lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
-    else:
+    if job.set_kind == "cone_l2":
         raise JobError("refute applies to ball and cone_rn; for cone_l2 use witness")
+    d = job.inputs.get("d")
+    if job.set_kind == "cone_rn" and d is None:
+        try:
+            cert = cone_refute_frechet(x, steps)
+        except ValueError as e:
+            raise JobError(f"{e}; supply input d for a custom probe") from e
+        gap, d = cert.gap, cert.direction
+        lines.append(f"direction = {fmt_vec(d)}")
+        lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
+        lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
+    else:
+        if job.set_kind == "ball":
+            f = lambda p: project_ball(job.ball, p)
+            if d is None:
+                d = x - job.ball.center
+            if float(np.linalg.norm(d)) == 0.0:
+                raise JobError("refutation direction is zero; supply input d")
+        else:
+            f = project_cone
+        gap = refute_linearity(f, x, d, steps)
+        lines.append(f"direction = {fmt_vec(d)}")
+    threshold = refutation_threshold(x, d, steps)
     lines.append(f"gap = {fmt_num(gap)}")
     return _verdict(lines, "not_frechet", gap > threshold, gap, threshold)
 
@@ -445,20 +442,14 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     if has_n == has_eps:
         raise JobError("witness needs exactly one of inputs n (derivative) or epsilon (interior)")
     if has_n:
-        try:
-            report = l2_nonfrechet_witness(x, job.inputs["n"])
-        except ValueError as e:
-            raise JobError(str(e)) from e
+        report = l2_nonfrechet_witness(x, job.inputs["n"])
         lines.append(f"candidate = {report.candidate}")
         lines.append(f"residual_u = {fmt_num(report.residual_u)}")
         lines.append(f"residual_v = {fmt_num(report.residual_v)}")
         deviation = max(abs(report.residual_u - 0.5), abs(report.residual_v - 2.0 / 3.0))
         return _verdict(lines, "witness_constants", deviation <= 1e-12, deviation, 1e-12)
     eps = job.inputs["epsilon"]
-    try:
-        escape = interior_escape_witness(x, eps)
-    except ValueError as e:
-        raise JobError(str(e)) from e
+    escape = interior_escape_witness(x, eps)
     gap = distance(x, escape)
     outside = not in_cone(escape)
     lines.append(f"escape = {fmt_seq(escape)}")
@@ -467,28 +458,27 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     return _verdict(lines, "escape", outside and gap < eps, gap, eps)
 
 
+# command -> handler; handlers that print no VERDICT line return None
+_HANDLERS = {
+    "project": _cmd_project,
+    "classify": _cmd_classify,
+    "derive": _cmd_derive,
+    "gateaux": _cmd_gateaux,
+    "verify": _cmd_verify,
+    "refute": _cmd_refute,
+    "witness": _cmd_witness,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
 def run_job(job: JobSpec) -> tuple[list[str], bool]:
     """Execute a job; returns (report lines, all-verdicts-passed)."""
     lines = _echo_lines(job)
-    ok = True
     try:
-        if job.command == "project":
-            _cmd_project(job, lines)
-        elif job.command == "classify":
-            _cmd_classify(job, lines)
-        elif job.command == "derive":
-            _cmd_derive(job, lines)
-        elif job.command == "gateaux":
-            _cmd_gateaux(job, lines)
-        elif job.command == "verify":
-            ok = _cmd_verify(job, lines)
-        elif job.command == "refute":
-            ok = _cmd_refute(job, lines)
-        else:
-            ok = _cmd_witness(job, lines)
-    except ValueError as e:
+        ok = _HANDLERS[job.command](job, lines)
+    except (ValueError, ArithmeticError, OracleConvergenceError) as e:
         raise JobError(str(e)) from e
-    return lines, ok
+    return lines, ok is not False
 
 
 def main(argv=None) -> int:

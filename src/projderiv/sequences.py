@@ -20,7 +20,6 @@ Indices are 1-based throughout, matching the serialized form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -98,11 +97,6 @@ class SeqVector:
     @classmethod
     def zero(cls) -> "SeqVector":
         return cls({}, None)
-
-    @classmethod
-    def from_coords(cls, coords) -> "SeqVector":
-        """Finitely supported vector from a list of leading coordinates."""
-        return cls({i + 1: float(v) for i, v in enumerate(coords)}, None)
 
     @property
     def support_max(self) -> int:
@@ -220,13 +214,6 @@ class SeqVector:
             raise ValueError(f"unknown tail kind {tail_rec['kind']!r}")
         return cls(ov, tail)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_record())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeqVector":
-        return cls.from_record(json.loads(text))
-
 
 def diff_coords(x: SeqVector, y: SeqVector) -> dict[int, float]:
     """Coordinates of x - y, which is finitely supported when tails match."""
@@ -305,11 +292,8 @@ def l2_gateaux(x: SeqVector, w: SeqVector) -> SeqVector:
     if region is L2Region.ALL_NEGATIVE:
         return SeqVector.zero()
     if x.tail.coeff > 0.0:
-        out = w
-        for i, v in x.overrides.items():
-            if v < 0.0:
-                out = out.with_coord(i, 0.0)
-        return out
+        negative = {i: 0.0 for i, v in x.overrides.items() if v < 0.0}
+        return SeqVector({**w.overrides, **negative}, w.tail)
     return SeqVector({i: w.coord(i) for i, v in x.overrides.items() if v > 0.0}, None)
 
 
@@ -336,16 +320,6 @@ _CANDIDATE_NAME = {
 }
 
 
-def _candidate_apply_finite(
-    x: SeqVector, region: L2Region, delta: Mapping[int, float]
-) -> dict[int, float]:
-    if region is L2Region.ALL_POSITIVE:
-        return dict(delta)
-    if region is L2Region.ALL_NEGATIVE:
-        return {}
-    return {i: (v if x.coord(i) > 0.0 else 0.0) for i, v in delta.items()}
-
-
 def l2_nonfrechet_witness(x: SeqVector, n: int) -> WitnessReport:
     """Residuals of the Gâteaux candidate under two flips of coordinate n.
 
@@ -364,8 +338,8 @@ def l2_nonfrechet_witness(x: SeqVector, n: int) -> WitnessReport:
 
     def residual(mult: float) -> float:
         pert = x.with_coord(n, mult * xn)
-        shift = {n: mult * xn - xn}
-        claimed = px.add_finite(_candidate_apply_finite(x, region, shift))
+        shift = SeqVector({n: mult * xn - xn}, None)
+        claimed = px.add_finite(l2_gateaux(x, shift).overrides)
         return distance(project_cone_l2(pert), claimed) / distance(pert, x)
 
     return WitnessReport(

@@ -1,9 +1,6 @@
-"""Finite-dimensional Hilbert-space primitives: inner products, orthogonal
-splits along an anchor direction, and the one-sided derivative of the norm."""
+"""Dense-vector primitives: coercion to finite float arrays and dimension checks."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,53 +21,3 @@ def as_vector(x) -> Vector:
 def _same_dim(x: Vector, y: Vector) -> None:
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
-
-
-def inner(x, y) -> float:
-    """Euclidean inner product."""
-    x, y = as_vector(x), as_vector(y)
-    _same_dim(x, y)
-    return float(np.dot(x, y))
-
-
-def norm(x) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(as_vector(x)))
-
-
-@dataclass(frozen=True)
-class OrthoSplit:
-    """Decomposition x = coeff * anchor + ortho with ortho ⟂ anchor."""
-
-    coeff: float
-    ortho: Vector
-    anchor: Vector
-
-    def reconstruct(self) -> Vector:
-        return self.coeff * self.anchor + self.ortho
-
-
-def ortho_split(anchor, x) -> OrthoSplit:
-    """Split x into its component along a nonzero anchor and the orthogonal rest."""
-    anchor, x = as_vector(anchor), as_vector(x)
-    _same_dim(anchor, x)
-    denom = float(np.dot(anchor, anchor))
-    if denom == 0.0:
-        raise ValueError("anchor must be nonzero")
-    coeff = float(np.dot(x, anchor)) / denom
-    ortho = x - coeff * anchor
-    ortho.flags.writeable = False
-    return OrthoSplit(coeff=coeff, ortho=ortho, anchor=anchor)
-
-
-def norm_dir_derivative(x, v) -> float:
-    """One-sided derivative of t ↦ ‖x + t v‖ at t = 0, for x ≠ 0.
-
-    Equals ⟨x, v⟩ / ‖x‖; the limit is two-sided away from the origin.
-    """
-    x, v = as_vector(x), as_vector(v)
-    _same_dim(x, v)
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        raise ValueError("norm derivative requires x != 0")
-    return float(np.dot(x, v)) / n

@@ -3,8 +3,8 @@
 Three independent instruments:
 
 * forward-difference directional derivatives (:func:`fd_directional`),
-* residual scans over shrinking neighborhoods that certify Fréchet or
-  strict-Fréchet behavior by residual decay (:func:`strict_residual_scan`),
+* residual scans over shrinking neighborhoods that certify strict-Fréchet
+  behavior by residual decay (:func:`strict_residual_scan`),
 * a projected-gradient solver for the nearest-point problem
   (:func:`qp_projection_oracle`) kept deliberately separate from the
   closed-form projections so the two can cross-check each other.
@@ -17,7 +17,6 @@ because samples are drawn up front in index order and merged by index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +25,9 @@ from .balls import Ball
 from .vectors import Vector, as_vector
 
 _EPS = float(np.finfo(np.float64).eps)
+# Redraws of a sample pair that collapsed onto one point before the scan
+# gives up: a usable radius collapses a pair with probability ~0.
+_MAX_REDRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,10 @@ def fd_directional(
     return FDEstimate(value=value, steps=steps, quotients=quotients, errors_vs_claim=errors)
 
 
-class ScanMode(Enum):
-    FRECHET = "frechet"  # pairs (u, base): first-order expansion around the base
-    STRICT = "strict"  # pairs (u, v) both near the base: two-point expansion
-
-
 @dataclass(frozen=True)
 class ResidualScan:
     radii: tuple[float, ...]
     residuals: tuple[float, ...]
-    mode: ScanMode
-
-    def decay_ok(self, factor: float = 0.5) -> bool:
-        """True when each residual is at most `factor` times its predecessor."""
-        return self.worst_decay_ratio() <= factor
 
     def worst_decay_ratio(self) -> float:
         """Largest consecutive residual ratio (identically-zero pairs count as 0)."""
@@ -108,15 +100,15 @@ def strict_residual_scan(
     radii: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
     samples_per_radius: int = 64,
     seed: int = 0,
-    mode: ScanMode = ScanMode.STRICT,
 ) -> ResidualScan:
     """Max normalized residual ‖f(u) - f(v) - A(u - v)‖ / ‖u - v‖ per radius.
 
-    In ``STRICT`` mode both u and v are drawn uniformly from the ball of the
-    given radius around the base point; in ``FRECHET`` mode v is the base
-    point itself.  A derivative candidate A passes when residuals decay
-    toward zero with the radius; a genuine strict-Fréchet derivative decays
-    linearly (one decade of radius costs one decade of residual).
+    Both u and v are drawn uniformly from the ball of the given radius
+    around the base point.  A derivative candidate A passes when residuals
+    decay toward zero with the radius; a genuine strict-Fréchet derivative
+    decays linearly (one decade of radius costs one decade of residual).
+    A radius too small to move the base point in floating point is refused
+    with ValueError, since every pair would collapse onto the base point.
     """
     base = as_vector(base)
     radii = tuple(float(r) for r in radii)
@@ -130,26 +122,26 @@ def strict_residual_scan(
     for radius in radii:
         worst = 0.0
         for _ in range(samples_per_radius):
-            while True:
+            for _ in range(_MAX_REDRAWS):
                 u = base + radius * _uniform_ball_point(rng, dim)
-                if mode is ScanMode.STRICT:
-                    v = base + radius * _uniform_ball_point(rng, dim)
-                else:
-                    v = base
+                v = base + radius * _uniform_ball_point(rng, dim)
                 gap = float(np.linalg.norm(u - v))
                 if gap > 0.0:
                     break
+            else:
+                raise ValueError(
+                    f"scan radius {radius:.17g} does not move the base point in floating point"
+                )
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
             num = num - np.asarray(deriv(u - v), dtype=np.float64)
             worst = max(worst, float(np.linalg.norm(num)) / gap)
         residuals.append(worst)
-    return ResidualScan(radii=radii, residuals=tuple(residuals), mode=mode)
+    return ResidualScan(radii=radii, residuals=tuple(residuals))
 
 
-def frechet_residual_scan(f, deriv, base, **kwargs) -> ResidualScan:
-    """Residual scan with one endpoint pinned at the base point."""
-    kwargs["mode"] = ScanMode.FRECHET
-    return strict_residual_scan(f, deriv, base, **kwargs)
+def _one_sided_pair(f, x, d, steps) -> tuple[Vector, Vector]:
+    """Forward-difference one-sided derivatives of f at x along +d and -d."""
+    return fd_directional(f, x, d, steps).value, fd_directional(f, x, -d, steps).value
 
 
 def refute_linearity(
@@ -164,9 +156,7 @@ def refute_linearity(
     derivatives along +d and -d.  Any linear derivative candidate must make
     this zero; a gap certifies that no Fréchet derivative exists.
     """
-    d = as_vector(d)
-    fwd = fd_directional(f, x, d, steps).value
-    bwd = fd_directional(f, x, -d, steps).value
+    fwd, bwd = _one_sided_pair(f, x, as_vector(d), steps)
     return float(np.linalg.norm(fwd + bwd))
 
 

@@ -263,6 +263,28 @@ def test_witness_wrong_set_kind(tmp_path, capsys):
     assert "cone_l2" in err
 
 
+def test_verify_scan_radius_below_resolution_is_unusable(tmp_path, capsys):
+    # a radius of 1e-2 cannot move a coordinate of size 1e200, so every sample
+    # pair collapses onto the base point; the scan must refuse, not redraw forever
+    job = {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1e200, -1e200]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 2
+    assert err.startswith("error: ") and "radius" in err
+    assert out == ""
+
+
+def test_witness_underflow_is_unusable_without_traceback(tmp_path, capsys):
+    # x_600 = 0.5**599 squares to zero in the distance sum; the division by
+    # that zero distance must surface as an unusable job, not an escaping
+    # ZeroDivisionError
+    x = {"overrides": [], "tail": {"kind": "geometric", "a": 1, "rho": 0.5, "start": 1}}
+    job = {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "n": 600}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
 # ------------------------------------------------------- job file validation
 
 

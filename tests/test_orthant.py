@@ -9,7 +9,6 @@ from projderiv import (
     cone_gateaux,
     cone_refute_frechet,
     guarded_fd_step,
-    positive_homogeneity_check,
     project_cone,
     sign_partition,
     zero_tolerance,
@@ -39,6 +38,26 @@ def test_sign_partition_covers_disjointly():
         union = part.plus | part.minus | part.zero
         assert union == set(range(x.size))
         assert len(part.plus) + len(part.minus) + len(part.zero) == x.size
+
+
+def test_sign_partition_and_mask_match_coordinate_loop():
+    # reference: classify and mask one coordinate at a time
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        x = rng.normal(size=rng.integers(1, 17)) * 10.0 ** rng.integers(-3, 4)
+        x[rng.random(x.size) < 0.2] = 0.0
+        x[rng.random(x.size) < 0.1] = 1e-15
+        tol = zero_tolerance(x)
+        zero = {i for i, v in enumerate(x) if abs(v) <= tol}
+        plus = {i for i, v in enumerate(x) if i not in zero and v > 0.0}
+        part = sign_partition(x)
+        assert (part.plus, part.zero) == (plus, zero)
+        assert part.minus == set(range(x.size)) - plus - zero
+        w = rng.normal(size=x.size)
+        keep = np.array([1.0 if i in plus else 0.0 for i in range(x.size)])
+        ramp = np.array([1.0 if i in zero else 0.0 for i in range(x.size)])
+        want = w * keep + np.maximum(w, 0.0) * ramp
+        assert np.array_equal(cone_frechet_derivative(x).apply(w), want)
 
 
 def test_sign_partition_zero_band():
@@ -106,14 +125,13 @@ def test_gateaux_at_origin_is_the_projection():
 
 
 def test_positive_homogeneity():
+    # P(lam x) == lam P(x) for lam >= 0
     rng = np.random.default_rng(14)
     for _ in range(100):
         x = rng.normal(scale=3.0, size=4)
         lam = 10.0 * rng.random()
-        assert positive_homogeneity_check(x, lam)
-    assert positive_homogeneity_check([1.0, -2.0], 0.0)
-    with pytest.raises(ValueError):
-        positive_homogeneity_check([1.0], -1.0)
+        assert np.max(np.abs(project_cone(lam * x) - lam * project_cone(x))) <= 1e-12
+    assert np.array_equal(project_cone(0.0 * np.array([1.0, -2.0])), [0.0, 0.0])
 
 
 def test_guarded_fd_step():

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from projderiv import as_vector, inner, norm, norm_dir_derivative, ortho_split
+from projderiv import as_vector
 
 
 def test_as_vector_rejects_bad_input():
@@ -25,88 +22,3 @@ def test_as_vector_is_read_only_copy():
         v[0] = 9.0
     source[0] = 9.0
     assert v[0] == 1.0
-
-
-def test_inner_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-def test_inner_and_norm_small_values():
-    assert inner([3.0, 4.0], [1.0, 1.0]) == 7.0
-    assert norm([3.0, 4.0]) == 5.0
-
-
-def test_ortho_split_along_axis():
-    split = ortho_split([1.0, 0.0], [3.0, 4.0])
-    assert split.coeff == 3.0
-    assert np.array_equal(split.ortho, [0.0, 4.0])
-    assert np.array_equal(split.reconstruct(), [3.0, 4.0])
-
-
-def test_ortho_split_zero_anchor_rejected():
-    with pytest.raises(ValueError):
-        ortho_split([0.0, 0.0], [1.0, 2.0])
-
-
-def test_norm_dir_derivative_value():
-    # ⟨(3,4),(1,1)⟩ / ‖(3,4)‖ = 7/5
-    assert norm_dir_derivative([3.0, 4.0], [1.0, 1.0]) == 1.4
-
-
-def test_norm_dir_derivative_needs_nonzero_base():
-    with pytest.raises(ValueError):
-        norm_dir_derivative([0.0, 0.0], [1.0, 0.0])
-
-
-def test_norm_dir_derivative_matches_forward_difference():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        dim = rng.integers(1, 9)
-        x = rng.normal(size=dim)
-        v = rng.normal(size=dim)
-        nx, nv = np.linalg.norm(x), np.linalg.norm(v)
-        if nx < 0.1 or nv == 0.0:
-            continue
-        claimed = norm_dir_derivative(x, v)
-        for h in (1e-4, 1e-6):
-            fd = (np.linalg.norm(x + h * v) - nx) / h
-            assert abs(fd - claimed) <= 10.0 * h * nv**2 / nx
-
-
-coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-@st.composite
-def vector_pairs(draw):
-    dim = draw(st.integers(min_value=1, max_value=8))
-    anchor = draw(arrays(np.float64, dim, elements=coords))
-    x = draw(arrays(np.float64, dim, elements=coords))
-    assume(np.linalg.norm(anchor) >= 1e-3)
-    return anchor, x
-
-
-@settings(max_examples=200, deadline=None)
-@given(vector_pairs())
-def test_ortho_split_reconstruction_and_pythagoras(pair):
-    anchor, x = pair
-    split = ortho_split(anchor, x)
-    nx = np.linalg.norm(x)
-    assert np.linalg.norm(split.reconstruct() - x) <= 1e-12 * max(nx, 1.0)
-    lhs = split.coeff**2 * np.dot(anchor, anchor) + np.dot(split.ortho, split.ortho)
-    assert abs(lhs - nx**2) <= 1e-12 * max(nx**2, 1.0)
-    # robust orthogonality bound; the o-scaled form below needs generic inputs
-    assert abs(np.dot(anchor, split.ortho)) <= 1e-12 * np.linalg.norm(anchor) * max(nx, 1.0)
-
-
-def test_ortho_split_orthogonality_generic_inputs():
-    rng = np.random.default_rng(21)
-    for _ in range(200):
-        dim = rng.integers(2, 9)
-        anchor = rng.uniform(-5.0, 5.0, size=dim)
-        x = rng.uniform(-5.0, 5.0, size=dim)
-        if np.linalg.norm(anchor) < 0.1:
-            continue
-        split = ortho_split(anchor, x)
-        bound = 1e-12 * np.linalg.norm(anchor) * np.linalg.norm(split.ortho)
-        assert abs(np.dot(anchor, split.ortho)) <= max(bound, 5e-29)
