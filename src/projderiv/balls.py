@@ -12,12 +12,13 @@ onto the sphere outside.  Its derivative splits into three regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .vectors import Vector, as_vector, _same_dim
+from .vectors import Vector, as_points, as_vector, _same_dim
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,20 @@ def classify_ball(ball: Ball, x) -> BallRegion:
 
 
 def project_ball(ball: Ball, x) -> Vector:
-    """Nearest point of the closed ball: x itself inside, radial pull-back outside."""
-    x = as_vector(x)
+    """Nearest point of the closed ball, row by row: x inside, radial pull-back outside."""
+    x = as_points(x)
     _same_dim(ball.center, x)
     d = x - ball.center
-    dist = float(np.linalg.norm(d))
-    if dist <= ball.radius:
+    dist = np.sqrt(np.vecdot(d, d))
+    outside = dist > ball.radius
+    count = np.count_nonzero(outside)
+    if count == 0:
         return x
-    return ball.center + (ball.radius / dist) * d
+    if count == outside.size:
+        return ball.center + (ball.radius / dist)[..., None] * d
+    # rows on both sides: only outside rows divide, so a center row raises no warning
+    scale = np.divide(ball.radius, dist, out=np.zeros_like(dist), where=outside)
+    return np.where(outside[:, None], ball.center + scale[:, None] * d, x)
 
 
 class BallDerivKind(Enum):
@@ -108,16 +115,17 @@ class BallDeriv:
         return self.kind is not BallDerivKind.NOT_FRECHET
 
     def apply(self, w) -> Vector:
-        w = as_vector(w)
-        if w.size != self.dim:
-            raise ValueError(f"dimension mismatch: {w.size} vs {self.dim}")
+        """The linear action on one direction (n,) or on each row of a stack (S, n)."""
+        w = as_points(w)
+        if w.shape[-1] != self.dim:
+            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.dim}")
         if self.kind is BallDerivKind.IDENTITY:
             return w
         if self.kind is BallDerivKind.EXTERIOR:
             a = self.anchor
             na2 = float(np.dot(a, a))
-            radial = (float(np.dot(w, a)) / na2) * a
-            return (self.radius / np.sqrt(na2)) * (w - radial)
+            radial = (np.vecdot(w, a) / na2)[..., None] * a
+            return (self.radius / math.sqrt(na2)) * (w - radial)
         raise ValueError("no linear derivative exists at a sphere point")
 
     def as_matrix(self) -> np.ndarray:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .vectors import Vector, as_vector, _same_dim
+from .vectors import Vector, as_points, as_vector, _same_dim
 from .verify import _one_sided_pair
 
 
@@ -72,8 +73,8 @@ def _region_of(partition: SignPartition) -> ConeRegion:
 
 
 def project_cone(x) -> Vector:
-    """Nearest point of the nonnegative orthant (coordinatewise clamp)."""
-    return np.maximum(as_vector(x), 0.0)
+    """Nearest point of the nonnegative orthant (coordinatewise clamp), row by row for a stack."""
+    return np.maximum(as_points(x), 0.0)
 
 
 class ConeDerivKind(Enum):
@@ -97,28 +98,32 @@ class ConeDeriv:
     kind: ConeDerivKind
     partition: SignPartition
 
+    @cached_property
+    def _masks(self) -> np.ndarray:
+        """0/1 indicators of the plus and zero index sets, built on first use."""
+        masks = np.zeros((2, self.partition.n))
+        for row, indices in zip(masks, (self.partition.plus, self.partition.zero)):
+            row[np.fromiter(indices, dtype=np.intp, count=len(indices))] = 1.0
+        masks.flags.writeable = False
+        return masks
+
     @property
     def is_linear(self) -> bool:
         return self.kind is not ConeDerivKind.DIRECTIONAL_ONLY
 
-    def _indicator(self, indices: frozenset[int]) -> np.ndarray:
-        out = np.zeros(self.partition.n)
-        out[np.fromiter(indices, dtype=np.intp, count=len(indices))] = 1.0
-        return out
-
     def apply(self, w) -> Vector:
-        w = as_vector(w)
-        if w.size != self.partition.n:
-            raise ValueError(f"dimension mismatch: {w.size} vs {self.partition.n}")
+        """The action on one direction (n,) or on each row of a stack (S, n)."""
+        w = as_points(w)
+        if w.shape[-1] != self.partition.n:
+            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.partition.n}")
         if self.kind is ConeDerivKind.IDENTITY:
             return w
         if self.kind is ConeDerivKind.ZERO:
             return np.zeros_like(w)
+        plus, zero = self._masks
         if self.kind is ConeDerivKind.MASK:
-            return w * self._indicator(self.partition.plus)
-        keep = w * self._indicator(self.partition.plus)
-        ramp = np.maximum(w, 0.0) * self._indicator(self.partition.zero)
-        return keep + ramp
+            return w * plus
+        return w * plus + np.maximum(w, 0.0) * zero
 
     def as_matrix(self) -> np.ndarray:
         if self.kind is ConeDerivKind.DIRECTIONAL_ONLY:
@@ -127,7 +132,7 @@ class ConeDeriv:
             return np.eye(self.partition.n)
         if self.kind is ConeDerivKind.ZERO:
             return np.zeros((self.partition.n, self.partition.n))
-        return np.diag(self._indicator(self.partition.plus))
+        return np.diag(self._masks[0])
 
 
 def cone_frechet_derivative(x) -> ConeDeriv:

@@ -9,15 +9,24 @@ Vector = np.ndarray
 
 def as_vector(x) -> Vector:
     """Coerce to a finite 1-D float64 array (read-only copy)."""
+    return _finite_copy(x, (1,), "a 1-D vector")
+
+
+def as_points(x) -> Vector:
+    """Coerce one point (n,) or a stack of points (S, n) to a finite float64 read-only copy."""
+    return _finite_copy(x, (1, 2), "a 1-D vector or a 2-D stack of vectors")
+
+
+def _finite_copy(x, ndims: tuple[int, ...], what: str) -> Vector:
     v = np.array(x, dtype=np.float64, copy=True)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a 1-D vector with at least one coordinate")
-    if not np.all(np.isfinite(v)):
+    if v.ndim not in ndims or v.size == 0:
+        raise ValueError(f"expected {what} with at least one coordinate")
+    if not np.isfinite(v).all():
         raise ValueError("vector coordinates must be finite")
     v.flags.writeable = False
     return v
 
 
 def _same_dim(x: Vector, y: Vector) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.size} vs {y.size}")
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")

@@ -11,7 +11,8 @@ Three independent instruments:
 
 All sampling is seeded and single-threaded; reports are deterministic for a
 given seed regardless of how callers schedule the sample evaluations,
-because samples are drawn up front in index order and merged by index.
+because each stack of samples is drawn up front in index order, before any
+of it is evaluated, and merged by index.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .balls import Ball
-from .vectors import Vector, as_vector
+from .vectors import Vector, as_vector, _same_dim
 
 _EPS = float(np.finfo(np.float64).eps)
 # Redraws of a sample pair that collapsed onto one point before the scan
 # gives up: a usable radius collapses a pair with probability ~0.
 _MAX_REDRAWS = 100
+# Coordinates per (pairs, n) stack of the residual scan, whatever samples_per_radius is
+_CHUNK_COORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -83,14 +86,27 @@ class ResidualScan:
         return worst
 
 
-def _uniform_ball_point(rng: np.random.Generator, dim: int) -> Vector:
-    # Gaussian direction scaled by U^(1/dim): exact uniform sampling that stays
-    # usable at dim 16, where cube rejection accepts ~4e-6 of draws.
-    while True:
-        g = rng.standard_normal(dim)
-        n = float(np.linalg.norm(g))
-        if n > 0.0:
-            return (g / n) * rng.random() ** (1.0 / dim)
+def _sample_pairs(rng: np.random.Generator, base: Vector, radius: float, count: int):
+    """u, v, u - v, ‖u - v‖ and usability (distinct, nonzero Gaussians) of ``count`` pairs.
+
+    Points are drawn one at a time, u before v, as a Gaussian direction scaled by
+    U^(1/n): exact, and usable at n = 16, where cube rejection accepts ~4e-6 of draws.
+    """
+    dim = base.size
+    g = np.empty((count, 2, dim))
+    radial = []
+    for row in g.reshape(-1, dim):
+        rng.standard_normal(out=row)
+        radial.append(rng.random() ** (1.0 / dim))  # Python **: np.power rounds differently
+    norm = np.sqrt(np.vecdot(g, g))[..., None]
+    drawn = norm > 0.0
+    g /= np.where(drawn, norm, 1.0)  # an all-zero draw stays zero, without a 0/0 warning
+    g *= np.array(radial).reshape(count, 2, 1)
+    points = base + radius * g
+    u, v = points[:, 0], points[:, 1]
+    diff = u - v
+    gap = np.sqrt(np.vecdot(diff, diff))
+    return u, v, diff, gap, (gap > 0.0) & drawn.all(axis=(1, 2))
 
 
 def strict_residual_scan(
@@ -107,8 +123,10 @@ def strict_residual_scan(
     around the base point.  A derivative candidate A passes when residuals
     decay toward zero with the radius; a genuine strict-Fréchet derivative
     decays linearly (one decade of radius costs one decade of residual).
-    A radius too small to move the base point in floating point is refused
-    with ValueError, since every pair would collapse onto the base point.
+    ``f`` and ``deriv`` receive and return (S, n) stacks, one point or
+    difference per row, once per radius and chunk of ≤ ``_CHUNK_COORDS``
+    coordinates.  Collapsed pairs are redrawn after their chunk; a radius too
+    small to move the base point in floating point is refused with ValueError.
     """
     base = as_vector(base)
     radii = tuple(float(r) for r in radii)
@@ -117,24 +135,28 @@ def strict_residual_scan(
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be at least 1")
     rng = np.random.default_rng(seed)
-    dim = base.size
+    chunk = max(1, _CHUNK_COORDS // base.size)
     residuals = []
     for radius in radii:
         worst = 0.0
-        for _ in range(samples_per_radius):
-            for _ in range(_MAX_REDRAWS):
-                u = base + radius * _uniform_ball_point(rng, dim)
-                v = base + radius * _uniform_ball_point(rng, dim)
-                gap = float(np.linalg.norm(u - v))
-                if gap > 0.0:
-                    break
-            else:
-                raise ValueError(
-                    f"scan radius {radius:.17g} does not move the base point in floating point"
-                )
+        for start in range(0, samples_per_radius, chunk):
+            count = min(chunk, samples_per_radius - start)
+            u, v, diff, gap, usable = _sample_pairs(rng, base, radius, count)
+            for i in np.flatnonzero(~usable):
+                for _ in range(_MAX_REDRAWS - 1):
+                    *pair, ok = _sample_pairs(rng, base, radius, 1)
+                    if ok[0]:
+                        break
+                else:
+                    raise ValueError(
+                        f"scan radius {radius:.17g} does not move the base point in floating point"
+                    )
+                u[i], v[i], diff[i], gap[i] = (a[0] for a in pair)
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
-            num = num - np.asarray(deriv(u - v), dtype=np.float64)
-            worst = max(worst, float(np.linalg.norm(num)) / gap)
+            num = num - np.asarray(deriv(diff), dtype=np.float64)
+            # fmax: a NaN quotient (inf - inf in f) is skipped, not propagated
+            ratios = np.sqrt(np.vecdot(num, num)) / gap
+            worst = max(worst, float(np.fmax.reduce(ratios, initial=0.0)))
         residuals.append(worst)
     return ResidualScan(radii=radii, residuals=tuple(residuals))
 
@@ -203,8 +225,7 @@ def qp_projection_oracle(
 
     if isinstance(feasible, Ball):
         center, radius = feasible.center, feasible.radius
-        if center.size != x.size:
-            raise ValueError(f"dimension mismatch: {x.size} vs {center.size}")
+        _same_dim(x, center)
 
         def clamp(z: Vector) -> Vector:
             d = z - center

@@ -193,3 +193,73 @@ def test_gateaux_matches_one_sided_differences():
             e3, e4, e5 = est.errors_vs_claim
             assert 5.0 <= e3 / e4 <= 20.0
             assert 5.0 <= e4 / e5 <= 20.0
+
+
+def _stack_rows(ball, rng):
+    """Rows at the center, inside, near the sphere on both sides (1e-15, 1e-9), far outside."""
+    n = ball.dim
+    rows = [ball.center, ball.center + 0.3 * ball.radius * unit(rng, n)]
+    for scale in (1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.0 - 1e-9, 1.0 + 1e-9, 7.0):
+        rows.append(ball.center + scale * ball.radius * unit(rng, n))
+    rows.append(ball.center + ball.radius * np.eye(n)[0])
+    return np.array(rows)
+
+
+def reference_projection(ball, x):
+    # the one-point closed form, written the way it was before stacks were accepted
+    d = x - ball.center
+    dist = float(np.linalg.norm(d))
+    return x if dist <= ball.radius else ball.center + (ball.radius / dist) * d
+
+
+def reference_apply(deriv, w):
+    if deriv.kind is BallDerivKind.IDENTITY:
+        return w
+    a = deriv.anchor
+    na2 = float(np.dot(a, a))
+    return (deriv.radius / np.sqrt(na2)) * (w - (float(np.dot(w, a)) / na2) * a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])
+def test_stacked_projection_matches_row_by_row(n):
+    rng = np.random.default_rng(n)
+    ball = Ball(center=rng.normal(size=n), radius=1.25)
+    stack = _stack_rows(ball, rng)
+    projected = project_ball(ball, stack)
+    assert projected.shape == stack.shape
+    for row, got in zip(stack, projected):
+        assert np.array_equal(got, project_ball(ball, row))
+        assert np.array_equal(got, reference_projection(ball, row))
+    # stacks with every row on one side take the other branches
+    for part in (stack[:2], stack[-2:-1], stack[6:8]):
+        for row, got in zip(part, project_ball(ball, part)):
+            assert np.array_equal(got, project_ball(ball, row))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1000])
+def test_stacked_derivative_matches_row_by_row(n):
+    rng = np.random.default_rng(100 + n)
+    ball = Ball(center=rng.normal(size=n), radius=0.75)
+    stack = _stack_rows(ball, rng) - ball.center
+    for x in (ball.center + 3.0 * unit(rng, n), ball.center + 0.1 * unit(rng, n)):
+        deriv = ball_frechet_derivative(ball, x)
+        applied = deriv.apply(stack)
+        assert applied.shape == stack.shape
+        for row, got in zip(stack, applied):
+            assert np.array_equal(got, deriv.apply(row))
+            assert np.array_equal(got, reference_apply(deriv, row))
+
+
+def test_one_point_error_messages():
+    ball = Ball(center=[0.0, 0.0], radius=1.0)
+    deriv = ball_frechet_derivative(ball, [3.0, 4.0])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        project_ball(ball, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        deriv.apply([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
+        project_ball(ball, [1.0, np.nan])
+    with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
+        deriv.apply([np.inf, 0.0])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        project_ball(ball, np.ones((4, 3)))

@@ -170,3 +170,40 @@ def test_refutation_picks_smallest_zero_index():
 def test_refutation_requires_zero_coordinate():
     with pytest.raises(ValueError):
         cone_refute_frechet([1.0, -1.0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1000])
+def test_stacked_projection_and_derivative_match_row_by_row(n):
+    rng = np.random.default_rng(n)
+    stack = rng.normal(size=(12, n))
+    stack[0] = 0.0
+    stack[1, : n // 2] = 0.0
+    projected = project_cone(stack)
+    assert projected.shape == stack.shape
+    for row, got in zip(stack, projected):
+        assert np.array_equal(got, project_cone(row))
+    magnitude = np.abs(rng.normal(size=n)) + 0.5
+    mixed = magnitude * np.where(np.arange(n) % 2, -1.0, 1.0)
+    with_zero = mixed.copy()
+    with_zero[-1] = 0.0
+    for x in (magnitude, -magnitude, mixed, with_zero):
+        deriv = cone_frechet_derivative(x)
+        applied = deriv.apply(stack)
+        assert applied.shape == stack.shape
+        plus, zero = (
+            np.array([1.0 if i in part else 0.0 for i in range(n)])
+            for part in (deriv.partition.plus, deriv.partition.zero)
+        )
+        for row, got in zip(stack, applied):
+            assert np.array_equal(got, deriv.apply(row))
+            assert np.array_equal(got, row * plus + np.maximum(row, 0.0) * zero)
+
+
+def test_one_point_error_messages():
+    deriv = cone_frechet_derivative([1.0, -2.0])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        deriv.apply([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
+        deriv.apply([1.0, np.nan])
+    with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
+        project_cone([np.inf])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from projderiv import verify
 from projderiv import (
     Ball,
     OracleConvergenceError,
     ball_frechet_derivative,
+    cone_frechet_derivative,
     fd_directional,
     project_ball,
     project_cone,
@@ -13,6 +15,46 @@ from projderiv import (
     refute_linearity,
     strict_residual_scan,
 )
+from projderiv.vectors import as_vector
+
+_MAX_REDRAWS = 100
+
+
+# The scan as it was written before it was batched, one sample pair at a time,
+# kept verbatim as the reference the batched scan must match bit for bit.
+def _uniform_ball_point(rng, dim):
+    # Gaussian direction scaled by U^(1/dim): exact uniform sampling that stays
+    # usable at dim 16, where cube rejection accepts ~4e-6 of draws.
+    while True:
+        g = rng.standard_normal(dim)
+        n = float(np.linalg.norm(g))
+        if n > 0.0:
+            return (g / n) * rng.random() ** (1.0 / dim)
+
+
+def reference_scan(f, deriv, base, radii=(1e-2, 1e-3, 1e-4, 1e-5), samples_per_radius=64, seed=0):
+    base = as_vector(base)
+    rng = np.random.default_rng(seed)
+    dim = base.size
+    residuals = []
+    for radius in radii:
+        worst = 0.0
+        for _ in range(samples_per_radius):
+            for _ in range(_MAX_REDRAWS):
+                u = base + radius * _uniform_ball_point(rng, dim)
+                v = base + radius * _uniform_ball_point(rng, dim)
+                gap = float(np.linalg.norm(u - v))
+                if gap > 0.0:
+                    break
+            else:
+                raise ValueError(
+                    f"scan radius {radius:.17g} does not move the base point in floating point"
+                )
+            num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
+            num = num - np.asarray(deriv(u - v), dtype=np.float64)
+            worst = max(worst, float(np.linalg.norm(num)) / gap)
+        residuals.append(worst)
+    return tuple(residuals)
 
 
 def test_fd_exact_on_piecewise_linear_map():
@@ -76,6 +118,78 @@ def test_scan_validation():
         strict_residual_scan(lambda v: v, lambda w: w, [1.0], radii=(0.0,))
     with pytest.raises(ValueError):
         strict_residual_scan(lambda v: v, lambda w: w, [1.0], samples_per_radius=0)
+
+
+def _parity_case(case, n):
+    """(f, deriv, base) of a scan case at dimension n."""
+    rng = np.random.default_rng(n)
+    direction = rng.standard_normal(n)
+    direction /= np.linalg.norm(direction)
+    if case.startswith("ball"):
+        ball = Ball(center=rng.standard_normal(n), radius=1.5)
+        f = lambda p: project_ball(ball, p)
+        scale = {"ball_interior": 0.5, "ball_exterior": 3.0, "ball_sphere": 1.5}[case]
+        base = ball.center + scale * direction
+        if case == "ball_sphere":
+            return f, (lambda w: w), base  # the identity candidate, which must fail
+        return f, ball_frechet_derivative(ball, base).apply, base
+    magnitude = np.abs(direction) + 0.25
+    sign = {"cone_positive": 1.0, "cone_negative": -1.0}.get(case)
+    base = magnitude * (np.where(np.arange(n) % 2, -1.0, 1.0) if sign is None else sign)
+    return project_cone, cone_frechet_derivative(base).apply, base
+
+
+PARITY_CASES = [
+    (case, n)
+    for n in (1, 2, 16, 1000)
+    for case in (
+        "ball_interior",
+        "ball_exterior",
+        "ball_sphere",
+        "cone_positive",
+        "cone_negative",
+        "cone_mixed",
+    )
+    if not (case == "cone_mixed" and n == 1)
+]
+
+
+@pytest.mark.parametrize("case,n", PARITY_CASES)
+def test_batched_scan_matches_pairwise_reference_bit_for_bit(case, n):
+    f, deriv, base = _parity_case(case, n)
+    for seed in (0, 5, 123):
+        scan = strict_residual_scan(f, deriv, base, seed=seed)
+        assert scan.residuals == reference_scan(f, deriv, base, seed=seed)
+
+
+def test_scan_spanning_several_chunks_matches_reference():
+    f, deriv, base = _parity_case("ball_exterior", 1000)
+    samples = 150
+    assert samples > 2 * (verify._CHUNK_COORDS // base.size)  # at least 3 chunks
+    radii = (1e-2, 1e-4)
+    for seed in (2, 9):
+        scan = strict_residual_scan(f, deriv, base, radii, samples, seed)
+        assert scan.residuals == reference_scan(f, deriv, base, radii, samples, seed)
+
+
+def test_scan_partial_collapse_is_redrawn_deterministically(monkeypatch):
+    # 2e-16 spans only the floats next to 1.0, so many pairs round onto one point
+    redraws = []
+    sample_pairs = verify._sample_pairs
+
+    def counting(rng, base, radius, count):
+        redraws.append(count == 1)
+        return sample_pairs(rng, base, radius, count)
+
+    monkeypatch.setattr(verify, "_sample_pairs", counting)
+    ball = Ball(center=[0.0], radius=0.5)
+    f = lambda p: project_ball(ball, p)
+    deriv = ball_frechet_derivative(ball, [1.0]).apply
+    scan = lambda: strict_residual_scan(f, deriv, [1.0], radii=(2e-16,), seed=3).residuals
+    first = scan()
+    assert any(redraws)
+    assert first == scan()
+    assert np.isfinite(first[0])
 
 
 def test_sphere_point_residuals_do_not_decay():
