@@ -35,10 +35,6 @@ class Ball:
             raise ValueError("radius must be finite and positive")
         object.__setattr__(self, "radius", r)
 
-    @property
-    def dim(self) -> int:
-        return self.center.size
-
 
 class BallRegionTag(Enum):
     INTERIOR = "interior"
@@ -99,16 +95,14 @@ class BallDeriv:
     """Derivative of the ball projection at a base point.
 
     ``IDENTITY`` and ``EXTERIOR`` are genuine (strict) Fréchet derivatives
-    and support :meth:`apply`/:meth:`as_matrix`.  ``NOT_FRECHET`` records a
-    sphere point where no linear derivative exists; querying its action is
-    an error.
+    and support :meth:`apply`.  ``NOT_FRECHET`` records a sphere point where
+    no linear derivative exists; querying its action is an error.
     """
 
     kind: BallDerivKind
     dim: int
     anchor: Vector | None = None  # x - center, exterior points only
     radius: float | None = None
-    sphere_point: Vector | None = None
 
     @property
     def is_linear(self) -> bool:
@@ -128,17 +122,6 @@ class BallDeriv:
             return (self.radius / math.sqrt(na2)) * (w - radial)
         raise ValueError("no linear derivative exists at a sphere point")
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense matrix of the linear action (testing aid)."""
-        if self.kind is BallDerivKind.IDENTITY:
-            return np.eye(self.dim)
-        if self.kind is BallDerivKind.EXTERIOR:
-            a = self.anchor
-            na2 = float(np.dot(a, a))
-            proj = np.outer(a, a) / na2
-            return (self.radius / np.sqrt(na2)) * (np.eye(self.dim) - proj)
-        raise ValueError("no linear derivative exists at a sphere point")
-
 
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     """Derivative operator of the ball projection at x, by region.
@@ -153,13 +136,8 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     if region.tag is BallRegionTag.EXTERIOR:
         anchor = x - ball.center
         anchor.flags.writeable = False
-        return BallDeriv(
-            kind=BallDerivKind.EXTERIOR,
-            dim=x.size,
-            anchor=anchor,
-            radius=ball.radius,
-        )
-    return BallDeriv(kind=BallDerivKind.NOT_FRECHET, dim=x.size, sphere_point=x)
+        return BallDeriv(kind=BallDerivKind.EXTERIOR, dim=x.size, anchor=anchor, radius=ball.radius)
+    return BallDeriv(kind=BallDerivKind.NOT_FRECHET, dim=x.size)
 
 
 def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +48,7 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
+from .vectors import parse_numbers
 from .verify import (
     OracleConvergenceError,
     qp_projection_oracle,
@@ -89,19 +89,17 @@ def fmt_seq(s: SeqVector) -> str:
     return '{"overrides": [%s], "tail": %s}' % (pairs, tail_text)
 
 
-def _require_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise JobError(f"{what} must be a number")
-    v = float(value)
-    if not math.isfinite(v):
-        raise JobError(f"{what} must be finite")
-    return v
+def _require_numbers(values: list, what: str) -> list[float]:
+    try:
+        return parse_numbers(values, what)
+    except ValueError as e:
+        raise JobError(str(e)) from None
 
 
 def _require_vector(value, what: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise JobError(f"{what} must be a non-empty list of numbers")
-    return np.array([_require_number(c, what) for c in value])
+    return np.array(_require_numbers(value, what))
 
 
 @dataclass
@@ -111,14 +109,6 @@ class JobSpec:
     ball: Ball | None = None
     inputs: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-
-    @property
-    def seed(self) -> int:
-        return self.options.get("seed", 0)
-
-    @property
-    def steps(self) -> tuple[float, ...]:
-        return tuple(self.options.get("steps", DEFAULT_STEPS))
 
 
 def load_job(path: str) -> JobSpec:
@@ -149,7 +139,7 @@ def load_job(path: str) -> JobSpec:
         try:
             ball = Ball(
                 center=_require_vector(set_spec["center"], "set.center"),
-                radius=_require_number(set_spec["radius"], "set.radius"),
+                radius=_require_numbers([set_spec["radius"]], "set.radius")[0],
             )
         except ValueError as e:
             raise JobError(str(e)) from e
@@ -179,7 +169,7 @@ def load_job(path: str) -> JobSpec:
             raise JobError("input n must be a positive integer")
         inputs["n"] = n
     if "epsilon" in inputs_raw:
-        eps = _require_number(inputs_raw["epsilon"], "input epsilon")
+        eps = _require_numbers([inputs_raw["epsilon"]], "input epsilon")[0]
         if eps <= 0:
             raise JobError("input epsilon must be positive")
         inputs["epsilon"] = eps
@@ -198,7 +188,7 @@ def load_job(path: str) -> JobSpec:
             values = options_raw[key]
             if not isinstance(values, list) or not values:
                 raise JobError(f"option {key} must be a non-empty list")
-            parsed = [_require_number(v, f"option {key}") for v in values]
+            parsed = _require_numbers(values, f"option {key}")
             if any(v <= 0 for v in parsed):
                 raise JobError(f"option {key} entries must be positive")
             options[key] = tuple(parsed)
@@ -340,7 +330,7 @@ def _scan_radii(job: JobSpec, region_gap: float) -> tuple[float, ...]:
 def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     x = _need(job, "x")
     ok = True
-    seed = job.seed
+    seed = job.options.get("seed", 0)
     samples = job.options.get("samples_per_radius", 64)
 
     if job.set_kind == "cone_l2":
@@ -404,19 +394,16 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
 
 def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     x = _need(job, "x")
-    steps = job.steps
+    steps = job.options.get("steps", DEFAULT_STEPS)
     if job.set_kind == "cone_l2":
         raise JobError("refute applies to ball and cone_rn; for cone_l2 use witness")
     d = job.inputs.get("d")
-    if job.set_kind == "cone_rn" and d is None:
+    cone_axis = job.set_kind == "cone_rn" and d is None
+    if cone_axis:
         try:
             cert = cone_refute_frechet(x, steps)
         except ValueError as e:
             raise JobError(f"{e}; supply input d for a custom probe") from e
-        gap, d = cert.gap, cert.direction
-        lines.append(f"direction = {fmt_vec(d)}")
-        lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
-        lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
     else:
         if job.set_kind == "ball":
             f = lambda p: project_ball(job.ball, p)
@@ -426,11 +413,14 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
                 raise JobError("refutation direction is zero; supply input d")
         else:
             f = project_cone
-        gap = refute_linearity(f, x, d, steps)
-        lines.append(f"direction = {fmt_vec(d)}")
-    threshold = refutation_threshold(x, d, steps)
-    lines.append(f"gap = {fmt_num(gap)}")
-    return _verdict(lines, "not_frechet", gap > threshold, gap, threshold)
+        cert = refute_linearity(f, x, d, steps)
+    lines.append(f"direction = {fmt_vec(cert.direction)}")
+    if cone_axis:
+        lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
+        lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
+    threshold = refutation_threshold(x, cert.direction, steps)
+    lines.append(f"gap = {fmt_num(cert.gap)}")
+    return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 
 
 def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:

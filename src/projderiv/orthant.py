@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .vectors import Vector, as_points, as_vector, _same_dim
-from .verify import _one_sided_pair
+from .verify import Refutation, refute_linearity
 
 
 def zero_tolerance(x) -> float:
@@ -125,15 +125,6 @@ class ConeDeriv:
             return w * plus
         return w * plus + np.maximum(w, 0.0) * zero
 
-    def as_matrix(self) -> np.ndarray:
-        if self.kind is ConeDerivKind.DIRECTIONAL_ONLY:
-            raise ValueError("directional derivative at a zero coordinate is not linear")
-        if self.kind is ConeDerivKind.IDENTITY:
-            return np.eye(self.partition.n)
-        if self.kind is ConeDerivKind.ZERO:
-            return np.zeros((self.partition.n, self.partition.n))
-        return np.diag(self._masks[0])
-
 
 def cone_frechet_derivative(x) -> ConeDeriv:
     """Derivative structure at x, chosen by sign pattern."""
@@ -168,22 +159,7 @@ def guarded_fd_step(x) -> float:
     return min(1e-5, guard / 4.0)
 
 
-@dataclass(frozen=True)
-class ConeRefutation:
-    """Certificate that no linear map matches both one-sided derivatives.
-
-    ``forward_limit`` and ``backward_limit`` are the two values a putative
-    Fréchet derivative would be forced to assign to ``direction`` by probing
-    from either side; a nonzero ``gap`` between them is the contradiction.
-    """
-
-    direction: Vector
-    forward_limit: Vector
-    backward_limit: Vector
-    gap: float
-
-
-def cone_refute_frechet(x, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> ConeRefutation:
+def cone_refute_frechet(x, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> Refutation:
     """Refute Fréchet differentiability at a point with a zero coordinate.
 
     Probes along the coordinate axis of the smallest zero index: the clamp
@@ -194,12 +170,6 @@ def cone_refute_frechet(x, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> ConeR
     partition = sign_partition(x)
     if not partition.zero:
         raise ValueError("refutation needs a zero coordinate in the sign partition")
-    k = min(partition.zero)
     direction = np.zeros(x.size)
-    direction[k] = 1.0
-    forward, along_minus = _one_sided_pair(project_cone, x, direction, steps)
-    backward = -along_minus  # the value A(direction) = -A(-direction) would force
-    gap = float(np.linalg.norm(forward - backward))
-    return ConeRefutation(
-        direction=direction, forward_limit=forward, backward_limit=backward, gap=gap
-    )
+    direction[min(partition.zero)] = 1.0
+    return refute_linearity(project_cone, x, direction, steps)

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .vectors import Vector
+from .vectors import Vector, parse_numbers
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,10 @@ class GeometricTail:
     def value_at(self, i: int) -> float:
         if i < self.start:
             return 0.0
-        return self.coeff * self.ratio ** (i - self.start)
+        try:
+            return self.coeff * self.ratio ** (i - self.start)
+        except OverflowError:  # an exponent beyond the float range: ratio < 1 underflows
+            return 0.0
 
 
 def _tail_value(tail: GeometricTail | None, i: int) -> float:
@@ -93,10 +96,6 @@ class SeqVector:
             clean[i] = v
         object.__setattr__(self, "overrides", dict(sorted(clean.items())))
         object.__setattr__(self, "tail", tail)
-
-    @classmethod
-    def zero(cls) -> "SeqVector":
-        return cls({}, None)
 
     @property
     def support_max(self) -> int:
@@ -146,9 +145,6 @@ class SeqVector:
     def norm_sq(self) -> float:
         return max(self.dot(self), 0.0)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def tail_mass_after(self, j: int) -> float:
         """Sum of squared coordinates at indices strictly beyond j."""
         if j < 0:
@@ -189,12 +185,12 @@ class SeqVector:
             not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs
         ):
             raise ValueError("overrides must be a list of [index, value] pairs")
-        ov: dict[int, float] = {}
+        ov = {}
         for i, v in pairs:
-            _check_index(i)
-            if i in ov:
+            if _check_index(i) in ov:
                 raise ValueError(f"duplicate override index {i}")
-            ov[i] = float(v)
+            ov[i] = v
+        parse_numbers(list(ov.values()), "coordinate value")  # the constructor converts them
         tail_rec = record["tail"]
         if not isinstance(tail_rec, dict) or "kind" not in tail_rec:
             raise ValueError("tail must be a record with a 'kind'")
@@ -206,8 +202,8 @@ class SeqVector:
             if set(tail_rec) != {"kind", "a", "rho", "start"}:
                 raise ValueError("geometric tail needs exactly a, rho, start")
             tail = GeometricTail(
-                coeff=float(tail_rec["a"]),
-                ratio=float(tail_rec["rho"]),
+                coeff=parse_numbers([tail_rec["a"]], "tail a")[0],
+                ratio=parse_numbers([tail_rec["rho"]], "tail rho")[0],
                 start=tail_rec["start"],
             )
         else:
@@ -226,9 +222,16 @@ def diff_coords(x: SeqVector, y: SeqVector) -> dict[int, float]:
 def distance(x: SeqVector, y: SeqVector) -> float:
     """‖x - y‖.  Exact finite sum when the tails match; for differing tails
     falls back to the norm/inner-product identity, which loses half the
-    significant digits when x and y nearly coincide."""
+    significant digits when x and y nearly coincide.  The finite sum scales
+    the differences by an exact power of two so that no square under- or overflows."""
     if x.tail == y.tail:
-        return math.sqrt(math.fsum(d * d for d in diff_coords(x, y).values()))
+        diffs = diff_coords(x, y).values()
+        top = max(map(abs, diffs), default=0.0)
+        if top == 0.0:
+            return 0.0
+        k = math.frexp(top)[1]
+        scaled = [math.ldexp(d, -k) for d in diffs]
+        return math.ldexp(math.sqrt(math.fsum(d * d for d in scaled)), k)
     gap_sq = x.norm_sq() - 2.0 * x.dot(y) + y.norm_sq()
     return math.sqrt(max(gap_sq, 0.0))
 
@@ -290,7 +293,7 @@ def l2_gateaux(x: SeqVector, w: SeqVector) -> SeqVector:
     if region is L2Region.ALL_POSITIVE:
         return w
     if region is L2Region.ALL_NEGATIVE:
-        return SeqVector.zero()
+        return SeqVector({}, None)
     if x.tail.coeff > 0.0:
         negative = {i: 0.0 for i, v in x.overrides.items() if v < 0.0}
         return SeqVector({**w.overrides, **negative}, w.tail)
@@ -334,6 +337,8 @@ def l2_nonfrechet_witness(x: SeqVector, n: int) -> WitnessReport:
     if n <= x.support_max or n < x.tail.start:
         raise ValueError("witness index must lie in the pure-tail region beyond all overrides")
     xn = x.coord(n)
+    if xn == 0.0:
+        raise ValueError(f"coordinate {n} underflows to 0 in floating point; pick a smaller n")
     px = project_cone_l2(x)
 
     def residual(mult: float) -> float:
@@ -367,12 +372,15 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
     if x.tail is not None:
         m = max(m, x.tail.start - 1)
         target = eps * eps / 4.0
+        if target == 0.0:  # no tail mass could be compared with it
+            raise ValueError("eps²/4 underflows to 0 in floating point; pick a larger eps")
         mass = x.tail_mass_after(m)
         if mass >= target and mass > 0.0:
             jump = math.log(target / mass) / (2.0 * math.log(x.tail.ratio))
             m += max(0, math.ceil(jump))
         while x.tail_mass_after(m) >= target:
             m += 1
-    coords = {i: x.coord(i) for i in range(1, m + 1) if x.coord(i) != 0.0}
+    tail = range(x.tail.start, m + 1) if x.tail else ()  # before it, only overrides are nonzero
+    coords = {i: x.coord(i) for i in {*x.overrides, *tail} if x.coord(i) != 0.0}
     coords[m + 1] = -eps / 2.0
     return SeqVector(coords, None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Vector = np.ndarray
@@ -25,6 +27,19 @@ def _finite_copy(x, ndims: tuple[int, ...], what: str) -> Vector:
         raise ValueError("vector coordinates must be finite")
     v.flags.writeable = False
     return v
+
+
+def parse_numbers(values: list, what: str) -> list[float]:
+    """Parsed JSON numbers as finite floats; bools and strings are refused."""
+    if not {int, float}.issuperset(map(type, values)):  # type(True) is bool, not int
+        raise ValueError(f"{what} must be a number")
+    try:
+        floats = list(map(float, values))
+    except OverflowError:  # an integer beyond the float range
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{what} must be finite")
+    return floats
 
 
 def _same_dim(x: Vector, y: Vector) -> None:

@@ -31,6 +31,10 @@ _EPS = float(np.finfo(np.float64).eps)
 _MAX_REDRAWS = 100
 # Coordinates per (pairs, n) stack of the residual scan, whatever samples_per_radius is
 _CHUNK_COORDS = 2**16
+# Projected-gradient oracle: iteration budget, step-change tolerance, step η in (0, 1)
+_ORACLE_ITERS = 500
+_ORACLE_TOL = 1e-10
+_ORACLE_STEP = 0.5
 
 
 @dataclass(frozen=True)
@@ -161,9 +165,19 @@ def strict_residual_scan(
     return ResidualScan(radii=radii, residuals=tuple(residuals))
 
 
-def _one_sided_pair(f, x, d, steps) -> tuple[Vector, Vector]:
-    """Forward-difference one-sided derivatives of f at x along +d and -d."""
-    return fd_directional(f, x, d, steps).value, fd_directional(f, x, -d, steps).value
+@dataclass(frozen=True)
+class Refutation:
+    """Certificate that no linear map matches both one-sided derivatives.
+
+    ``forward_limit`` is the one-sided derivative along ``direction`` and
+    ``backward_limit`` the value A(direction) = -A(-direction) that the one
+    along -direction forces on a linear A; a nonzero ``gap`` is the contradiction.
+    """
+
+    direction: Vector
+    forward_limit: Vector
+    backward_limit: Vector
+    gap: float
 
 
 def refute_linearity(
@@ -171,15 +185,17 @@ def refute_linearity(
     x,
     d,
     steps: Sequence[float] = (1e-3, 1e-4, 1e-5),
-) -> float:
-    """Violation of A(d) = -A(-d) for the one-sided derivatives of f at x.
+) -> Refutation:
+    """Probe f at x from both sides of d with forward differences.
 
-    Returns ‖deriv₊ + deriv₋‖ where deriv± are forward-difference one-sided
-    derivatives along +d and -d.  Any linear derivative candidate must make
-    this zero; a gap certifies that no Fréchet derivative exists.
+    Any linear derivative candidate makes the gap zero; a gap certifies that
+    no Fréchet derivative exists.
     """
-    fwd, bwd = _one_sided_pair(f, x, as_vector(d), steps)
-    return float(np.linalg.norm(fwd + bwd))
+    d = as_vector(d)
+    forward = fd_directional(f, x, d, steps).value
+    backward = -fd_directional(f, x, -d, steps).value
+    gap = float(np.linalg.norm(forward - backward))
+    return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
 
 
 def refutation_threshold(x, d, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> float:
@@ -196,20 +212,10 @@ def refutation_threshold(x, d, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> f
 
 
 class OracleConvergenceError(RuntimeError):
-    """Projected-gradient oracle ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate: Vector):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Projected-gradient oracle ran out of iterations."""
 
 
-def qp_projection_oracle(
-    feasible: Ball | str,
-    x,
-    iters: int = 500,
-    tol: float = 1e-10,
-    step: float = 0.5,
-) -> Vector:
+def qp_projection_oracle(feasible: Ball | str, x) -> Vector:
     """Nearest feasible point via projected gradient on ½‖z - x‖².
 
     ``feasible`` is a Ball or the string ``"orthant"`` (nonnegative
@@ -220,8 +226,6 @@ def qp_projection_oracle(
     step-change tolerance bounds the final error by tol (1 - η) / η.
     """
     x = as_vector(x)
-    if not 0.0 < step < 1.0:
-        raise ValueError("step must lie in (0, 1)")
 
     if isinstance(feasible, Ball):
         center, radius = feasible.center, feasible.radius
@@ -244,12 +248,12 @@ def qp_projection_oracle(
 
     z = clamp(x)
     change = float("inf")
-    for _ in range(iters):
-        z_next = clamp((1.0 - step) * z + step * x)
+    for _ in range(_ORACLE_ITERS):
+        z_next = clamp((1.0 - _ORACLE_STEP) * z + _ORACLE_STEP * x)
         change = float(np.linalg.norm(z_next - z))
         z = z_next
-        if change <= tol:
+        if change <= _ORACLE_TOL:
             return z
     raise OracleConvergenceError(
-        f"no convergence within {iters} iterations (last change {change:.3e})", z
+        f"no convergence within {_ORACLE_ITERS} iterations (last change {change:.3e})"
     )

@@ -157,7 +157,7 @@ def test_acceptance_05_sphere_radial_refutation():
             dim = int(rng.integers(2, 9))
             ball = Ball(center=np.zeros(dim), radius=radius)
             x = radius * _unit(rng, dim)
-            gap = refute_linearity(lambda p, b=ball: project_ball(b, p), x, x)
+            gap = refute_linearity(lambda p, b=ball: project_ball(b, p), x, x).gap
             ok &= abs(gap - radius) <= 1e-6
     _report(5, "sphere-radial-refutation", ok)
 

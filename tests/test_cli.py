@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from projderiv.cli import main
 
@@ -273,16 +275,25 @@ def test_verify_scan_radius_below_resolution_is_unusable(tmp_path, capsys):
     assert out == ""
 
 
-def test_witness_underflow_is_unusable_without_traceback(tmp_path, capsys):
-    # x_600 = 0.5**599 squares to zero in the distance sum; the division by
-    # that zero distance must surface as an unusable job, not an escaping
-    # ZeroDivisionError
+def test_witness_below_square_underflow_keeps_exact_residuals(tmp_path, capsys):
+    # x_600 = 0.5**599 ≈ 2.4e-181 squares to zero in float64; the distances
+    # are scaled before squaring, so the residuals stay exactly 1/2 and 2/3
     x = {"overrides": [], "tail": {"kind": "geometric", "a": 1, "rho": 0.5, "start": 1}}
     job = {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "n": 600}}
     code, out, err = run(tmp_path, capsys, job)
-    assert code == 2
-    assert err.startswith("error: ")
-    assert out == ""
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "residual_u = 0.5" in lines
+    assert "residual_v = 0.66666666666666663" in lines
+
+
+def test_witness_coordinate_underflowed_to_zero_is_unusable(tmp_path, capsys):
+    # x_1200 = 0.5**1199 is 0 in float64: no flip of it can be probed
+    x = {"overrides": [], "tail": {"kind": "geometric", "a": 1, "rho": 0.5, "start": 1}}
+    job = {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "n": 1200}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 2 and out == ""
+    assert err == "error: coordinate 1200 underflows to 0 in floating point; pick a smaller n\n"
 
 
 # ------------------------------------------------------- job file validation
@@ -336,6 +347,120 @@ def test_seed_validation(tmp_path, capsys):
     assert code == 2 and "seed" in err
     job["options"] = {"seed": 2**64}
     assert run(tmp_path, capsys, job)[0] == 2
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+
+
+def seq_record(override, a, rho=0.5, index=1, start=2):
+    tail = {"kind": "geometric", "a": a, "rho": rho, "start": start}
+    return {"overrides": [[index, override]], "tail": tail}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "job,message",
+    [
+        ({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, HUGE]}},
+         "input x must be finite"),
+        (ball_job("project", [HUGE, 0], 1, inputs={"x": [2, 0]}), "set.center must be finite"),
+        (ball_job("project", [0, 0], HUGE, inputs={"x": [2, 0]}), "set.radius must be finite"),
+        (seq_tail_job("witness", 1.0, epsilon=HUGE), "input epsilon must be finite"),
+        (ball_job("refute", [0, 0], 1, inputs={"x": [1, 0]}, options={"steps": [1e-3, HUGE]}),
+         "option steps must be finite"),
+        (ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}, options={"radii": [HUGE]}),
+         "option radii must be finite"),
+        ({"command": "project", "set": {"kind": "cone_l2"}, "inputs": {"x": seq_record(HUGE, 1)}},
+         "input x: coordinate value must be finite"),
+        ({"command": "project", "set": {"kind": "cone_l2"}, "inputs": {"x": seq_record(1, HUGE)}},
+         "input x: tail a must be finite"),
+    ],
+)
+def test_integer_beyond_float_range_is_refused_as_nonfinite(tmp_path, capsys, job, message, sign):
+    job = json.loads(json.dumps(job).replace(str(HUGE), str(sign * HUGE)))
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        (seq_record(True, 1), "coordinate value must be a number"),
+        (seq_record("1", 1), "coordinate value must be a number"),
+        (seq_record(1, "1"), "tail a must be a number"),
+        (seq_record(1, False), "tail a must be a number"),
+        ({"overrides": [], "tail": {"kind": "geometric", "a": 1, "rho": "0.5", "start": 1}},
+         "tail rho must be a number"),
+    ],
+)
+def test_sequence_record_refuses_bools_and_strings(tmp_path, capsys, record, message):
+    job = {"command": "project", "set": {"kind": "cone_l2"}, "inputs": {"x": record}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", f"error: input x: {message}\n")
+
+
+# Small jobs of every command whose numeric slots (SLOT) the fuzz test fills.
+# samples_per_radius, which sets the amount of work, stays fixed, and the
+# escape job keeps rho = 0.5: its witness writes out every tail coordinate up
+# to an index that grows like 1/log(1/rho).
+SLOT = "<number>"
+FUZZ_SEQ = seq_record(SLOT, SLOT, rho=SLOT)
+FUZZ_BALL = {"kind": "ball", "center": [SLOT, SLOT], "radius": SLOT}
+FUZZ_JOBS = [
+    {"command": "project", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT]}},
+    {"command": "classify", "set": {"kind": "cone_rn"}, "inputs": {"x": [SLOT, SLOT, SLOT]}},
+    {"command": "derive", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "w": [SLOT, SLOT]}},
+    {"command": "gateaux", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "w": [SLOT, SLOT]}},
+    {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [SLOT, SLOT]},
+     "options": {"steps": [SLOT]}},
+    {"command": "refute", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "d": [SLOT, SLOT]}},
+    {"command": "verify", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT]},
+     "options": {"radii": [SLOT, SLOT], "samples_per_radius": 2}},
+    {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [SLOT, SLOT]},
+     "options": {"radii": [SLOT], "samples_per_radius": 2}},
+    {"command": "verify", "set": {"kind": "cone_l2"}, "inputs": {"x": FUZZ_SEQ}},
+    {"command": "gateaux", "set": {"kind": "cone_l2"}, "inputs": {"x": FUZZ_SEQ, "w": FUZZ_SEQ}},
+    {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": FUZZ_SEQ, "n": SLOT}},
+    {"command": "witness", "set": {"kind": "cone_l2"},
+     "inputs": {"x": seq_record(SLOT, SLOT), "epsilon": SLOT}},
+    {"command": "classify", "set": {"kind": "cone_l2"},
+     "inputs": {"x": seq_record(1.0, 1.0, index=SLOT, start=SLOT)}},
+]
+FUZZ_VALUES = st.one_of(
+    st.integers(),
+    st.integers(min_value=-HUGE, max_value=HUGE),
+    st.floats(),  # inf and nan included
+    st.booleans(),
+    st.text(max_size=2),
+)
+
+
+def fill_slots(template, draw):
+    if template == SLOT:
+        return draw(FUZZ_VALUES)
+    if isinstance(template, dict):
+        return {k: fill_slots(v, draw) for k, v in template.items()}
+    if isinstance(template, list):
+        return [fill_slots(v, draw) for v in template]
+    return template
+
+
+# The contract is the exit code.  Beyond ~1e154, numpy's norms overflow with a
+# RuntimeWarning (the open scale defect of ROADMAP item 1); from the CLI that is
+# a line on stderr, so here it is shown as a warning rather than raised.
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(template=st.sampled_from(FUZZ_JOBS), data=st.data())
+def test_any_numbers_in_a_job_give_an_exit_code_not_a_traceback(tmp_path, capsys, template, data):
+    job = fill_slots(template, data.draw)
+    code, _, err = run(tmp_path, capsys, job)
+    assert code in (0, 1, 2), job
+    assert (code == 2) == err.startswith("error: "), (job, err)
 
 
 # --------------------------------------------------------- report contract

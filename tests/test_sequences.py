@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_editing_helpers():
 def test_norm_of_pure_geometric_tail():
     # sum of 4^-k: 1 / (1 - 1/4) = 4/3
     assert SeqVector({}, geo(1.0)).norm_sq() == 4.0 / 3.0
-    assert SeqVector({}, None).norm() == 0.0
+    assert SeqVector({}, None).norm_sq() == 0.0
 
 
 def test_norm_with_shadowed_override():
@@ -156,6 +157,27 @@ def test_distance_same_tail_is_exact():
     assert distance(x, y) == 1.75
     with pytest.raises(ValueError):
         diff_coords(x, SeqVector({1: 1.0}, None))
+
+
+def test_distance_scales_before_squaring():
+    # squares of these differences underflow (1e-200) or overflow (1e200) in float64
+    for scale in (1e-200, 1e200):
+        x = SeqVector({1: 3.0 * scale}, geo(1.0, 0.5, 3))
+        y = SeqVector({2: -4.0 * scale}, geo(1.0, 0.5, 3))
+        assert distance(x, y) == pytest.approx(5.0 * scale, rel=1e-15)
+    assert distance(SeqVector({}, None), SeqVector({}, None)) == 0.0
+
+
+def test_distance_is_bit_identical_to_the_unscaled_sum_at_normal_magnitudes():
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        size = int(rng.integers(1, 6))
+        exps = rng.uniform(-30.0, 30.0, size=2 * size)
+        values = rng.standard_normal(2 * size) * 10.0**exps
+        x = SeqVector(dict(enumerate(values[:size].tolist(), 1)), None)
+        y = SeqVector(dict(enumerate(values[size:].tolist(), 1)), None)
+        unscaled = math.sqrt(math.fsum(d * d for d in diff_coords(x, y).values()))
+        assert distance(x, y) == unscaled
 
 
 def test_distance_cross_tails_against_dense():
@@ -221,6 +243,21 @@ def test_from_record_validation():
         SeqVector.from_record({"overrides": [], "tail": {"kind": "zero", "a": 1.0}})
     with pytest.raises(ValueError):
         SeqVector.from_record({"overrides": [], "tail": {"kind": "geometric", "a": 1.0}})
+
+
+@pytest.mark.parametrize("bad", [True, "1", None, [1.0], 10**400, -(10**400), math.inf, math.nan])
+def test_from_record_numbers_must_be_finite_json_numbers(bad):
+    with pytest.raises(ValueError, match=r"^coordinate value must be "):
+        SeqVector.from_record({"overrides": [[1, bad]], "tail": {"kind": "zero"}})
+    for key in ("a", "rho"):
+        tail = {"kind": "geometric", "a": 1.0, "rho": 0.5, "start": 1, key: bad}
+        with pytest.raises(ValueError, match=rf"^tail {key} must be "):
+            SeqVector.from_record({"overrides": [], "tail": tail})
+
+
+def test_tail_value_far_beyond_the_float_exponent_range_is_zero():
+    assert geo(1.0, 0.5, 1).value_at(10**400) == 0.0
+    assert geo(1.0, 1.0 - 2.0**-53, 1).value_at(2**64 + 1) == 0.0
 
 
 # ------------------------------------------------------------ classification
@@ -436,6 +473,20 @@ def test_witness_index_must_be_pure_tail():
     assert l2_nonfrechet_witness(x, 5).n == 5
 
 
+def test_witness_residuals_stay_exact_below_square_underflow():
+    # x_n = 0.5**599 ≈ 2.4e-181: its square underflows, the scaled distances do not
+    report = l2_nonfrechet_witness(SeqVector({}, geo(1.0)), 600)
+    assert (report.residual_u, report.residual_v) == (0.5, 2.0 / 3.0)
+
+
+def test_witness_refuses_a_coordinate_that_underflowed_to_zero():
+    x = SeqVector({}, geo(1.0))
+    with pytest.raises(ValueError, match=r"^coordinate 1200 underflows to 0 in floating point"):
+        l2_nonfrechet_witness(x, 1200)
+    with pytest.raises(ValueError, match=r"underflows to 0"):
+        l2_nonfrechet_witness(x, 10**400)
+
+
 # ----------------------------------------------------------- empty interior
 
 
@@ -463,6 +514,54 @@ def test_escape_witness_random_members():
             y = interior_escape_witness(x, eps)
             assert not in_cone(y)
             assert distance(x, y) < eps
+
+
+def escape_by_dense_walk(x, eps):
+    """The witness as first written: every index from 1 to m is visited."""
+    m = x.support_max
+    if x.tail is not None:
+        m = max(m, x.tail.start - 1)
+        target = eps * eps / 4.0
+        mass = x.tail_mass_after(m)
+        if mass >= target and mass > 0.0:
+            m += max(0, math.ceil(math.log(target / mass) / (2.0 * math.log(x.tail.ratio))))
+        while x.tail_mass_after(m) >= target:
+            m += 1
+    coords = {i: x.coord(i) for i in range(1, m + 1) if x.coord(i) != 0.0}
+    coords[m + 1] = -eps / 2.0
+    return SeqVector(coords, None)
+
+
+def test_escape_witness_matches_dense_walk():
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        start = int(rng.integers(1, 40))
+        indices = rng.choice(np.arange(1, 60), size=int(rng.integers(0, 6)), replace=False)
+        overrides = {int(i): float(rng.choice([0.0, rng.uniform(0.0, 3.0)])) for i in indices}
+        coeff, ratio = rng.uniform(0.1, 2.0), rng.uniform(0.2, 0.95)
+        tail = None if rng.random() < 0.2 else geo(coeff, ratio, start)
+        x = SeqVector(overrides, tail)
+        for eps in (1.0, 1e-2, 1e-6):
+            assert interior_escape_witness(x, eps) == escape_by_dense_walk(x, eps)
+
+
+def test_escape_witness_far_tail_start_skips_the_empty_head():
+    x = SeqVector({3: 1.0}, geo(1.0, 0.5, 10**9))
+    began = time.perf_counter()
+    y = interior_escape_witness(x, 0.1)
+    assert time.perf_counter() - began < 1.0
+    assert min(y.overrides) == 3 and sorted(y.overrides)[1] == 10**9
+    assert not in_cone(y)
+    assert distance(x, y) < 0.1
+
+
+def test_escape_witness_refuses_eps_whose_square_underflows():
+    # eps²/4 = 0 once eps < ~3e-162; comparing tail mass with it looped forever
+    x = SeqVector({}, geo(5e-324))
+    with pytest.raises(ValueError, match=r"underflows to 0"):
+        interior_escape_witness(x, 1e-300)
+    # without a tail nothing is compared, and the dip alone is the witness
+    assert interior_escape_witness(SeqVector({}, None), 1e-300) == SeqVector({1: -5e-301}, None)
 
 
 def test_escape_witness_validation():

@@ -217,9 +217,13 @@ def test_sphere_point_residuals_do_not_decay():
 
 def test_refute_linearity_on_kinked_and_smooth_maps():
     kink = lambda v: np.abs(v)
-    gap = refute_linearity(kink, [0.0, 0.0], [1.0, 0.0])
+    cert = refute_linearity(kink, [0.0, 0.0], [1.0, 0.0])
+    gap = cert.gap
     assert gap == pytest.approx(2.0, abs=1e-12)
-    assert refute_linearity(lambda v: v, [0.0, 0.0], [1.0, 0.0]) == 0.0
+    assert np.array_equal(cert.direction, [1.0, 0.0])
+    assert np.allclose(cert.forward_limit, [1.0, 0.0], atol=1e-12)
+    assert np.allclose(cert.backward_limit, [-1.0, 0.0], atol=1e-12)
+    assert refute_linearity(lambda v: v, [0.0, 0.0], [1.0, 0.0]).gap == 0.0
     threshold = refutation_threshold([0.0, 0.0], [1.0, 0.0])
     assert 0.0 < threshold < 0.01 < gap
 
@@ -245,13 +249,11 @@ def test_oracle_validation():
         qp_projection_oracle(ball, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         qp_projection_oracle("simplex", [1.0])
-    with pytest.raises(ValueError):
-        qp_projection_oracle("orthant", [1.0], step=1.5)
 
 
-def test_oracle_reports_last_iterate_on_iteration_budget():
+def test_oracle_reports_exhausted_iteration_budget(monkeypatch):
     ball = Ball(center=[0.0, 0.0], radius=1.0)
-    with pytest.raises(OracleConvergenceError) as info:
-        qp_projection_oracle(ball, [3.0, 4.0], iters=0)
-    last = info.value.last_iterate
-    assert np.allclose(last, [0.6, 0.8], atol=1e-12)
+    assert np.allclose(qp_projection_oracle(ball, [3.0, 4.0]), [0.6, 0.8], atol=1e-12)
+    monkeypatch.setattr(verify, "_ORACLE_ITERS", 0)
+    with pytest.raises(OracleConvergenceError, match=r"^no convergence within 0 iterations"):
+        qp_projection_oracle(ball, [3.0, 4.0])
