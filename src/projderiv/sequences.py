@@ -21,6 +21,7 @@ Indices are 1-based throughout, matching the serialized form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -337,8 +338,13 @@ def l2_nonfrechet_witness(x: SeqVector, n: int) -> WitnessReport:
     if n <= x.support_max or n < x.tail.start:
         raise ValueError("witness index must lie in the pure-tail region beyond all overrides")
     xn = x.coord(n)
-    if xn == 0.0:
-        raise ValueError(f"coordinate {n} underflows to 0 in floating point; pick a smaller n")
+    if abs(xn) < sys.float_info.min:
+        # x_n is subnormal or underflowed to 0, where its flips would round.
+        # Flipping coordinate n moves only coordinate n of the projection and
+        # of the candidate, so both residuals are ratios of multiples of |x_n|
+        # and do not depend on its size: probe a unit coordinate of its sign.
+        xn = math.copysign(1.0, x.tail.coeff)
+        x = x.with_coord(n, xn)
     px = project_cone_l2(x)
 
     def residual(mult: float) -> float:

@@ -287,13 +287,15 @@ def test_witness_below_square_underflow_keeps_exact_residuals(tmp_path, capsys):
     assert "residual_v = 0.66666666666666663" in lines
 
 
-def test_witness_coordinate_underflowed_to_zero_is_unusable(tmp_path, capsys):
-    # x_1200 = 0.5**1199 is 0 in float64: no flip of it can be probed
+def test_witness_coordinate_underflowed_to_zero_keeps_exact_residuals(tmp_path, capsys):
+    # x_1200 = 0.5**1199 is 0 in float64; the residuals do not depend on its size
     x = {"overrides": [], "tail": {"kind": "geometric", "a": 1, "rho": 0.5, "start": 1}}
     job = {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "n": 1200}}
     code, out, err = run(tmp_path, capsys, job)
-    assert code == 2 and out == ""
-    assert err == "error: coordinate 1200 underflows to 0 in floating point; pick a smaller n\n"
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "residual_u = 0.5" in lines
+    assert "residual_v = 0.66666666666666663" in lines
 
 
 # ------------------------------------------------------- job file validation

@@ -479,12 +479,20 @@ def test_witness_residuals_stay_exact_below_square_underflow():
     assert (report.residual_u, report.residual_v) == (0.5, 2.0 / 3.0)
 
 
-def test_witness_refuses_a_coordinate_that_underflowed_to_zero():
-    x = SeqVector({}, geo(1.0))
-    with pytest.raises(ValueError, match=r"^coordinate 1200 underflows to 0 in floating point"):
-        l2_nonfrechet_witness(x, 1200)
-    with pytest.raises(ValueError, match=r"underflows to 0"):
-        l2_nonfrechet_witness(x, 10**400)
+@pytest.mark.parametrize("n", [1075, 1200, 10**400])  # x_n subnormal, then 0 in float64
+@pytest.mark.parametrize(
+    "x, candidate",
+    [
+        (SeqVector({}, geo(1.0)), "identity"),
+        (SeqVector({}, geo(-1.0)), "zero"),
+        (SeqVector({1: -1.0}, geo(1.0, start=2)), "mask"),
+        (SeqVector({1: 1.0}, geo(-1.0, start=2)), "mask"),
+    ],
+)
+def test_witness_residuals_stay_exact_where_the_coordinate_underflows(x, candidate, n):
+    report = l2_nonfrechet_witness(x, n)
+    assert (report.n, report.candidate) == (n, candidate)
+    assert (report.residual_u, report.residual_v) == (0.5, 2.0 / 3.0)
 
 
 # ----------------------------------------------------------- empty interior
