@@ -58,6 +58,11 @@ class GeometricTail:
         except OverflowError:  # an exponent beyond the float range: ratio < 1 underflows
             return 0.0
 
+    def norm_from(self, i: int) -> float:
+        """ℓ² norm of the tail's coordinates at indices i and beyond."""
+        r = self.ratio  # 1 - r² as (1 - r)(1 + r): no cancellation as r nears 1
+        return abs(self.value_at(max(i, self.start))) / math.sqrt((1.0 - r) * (1.0 + r))
+
 
 def _tail_value(tail: GeometricTail | None, i: int) -> float:
     return 0.0 if tail is None else tail.value_at(i)
@@ -143,24 +148,6 @@ class SeqVector:
             total += head / (1.0 - self.tail.ratio * other.tail.ratio)
         return total
 
-    def norm_sq(self) -> float:
-        return max(self.dot(self), 0.0)
-
-    def tail_mass_after(self, j: int) -> float:
-        """Sum of squared coordinates at indices strictly beyond j."""
-        if j < 0:
-            raise ValueError("index must be nonnegative")
-        terms = [
-            self.overrides[i] ** 2 - _tail_value(self.tail, i) ** 2
-            for i in self.overrides
-            if i > j
-        ]
-        total = math.fsum(terms)
-        if self.tail is not None:
-            head = self.tail.value_at(max(j + 1, self.tail.start))
-            total += head * head / (1.0 - self.tail.ratio**2)
-        return max(total, 0.0)
-
     def to_record(self) -> dict:
         """Plain-data form: {overrides: [[index, value]...], tail: {...}}."""
         if self.tail is None:
@@ -212,29 +199,32 @@ class SeqVector:
         return cls(ov, tail)
 
 
-def diff_coords(x: SeqVector, y: SeqVector) -> dict[int, float]:
-    """Coordinates of x - y, which is finitely supported when tails match."""
-    if x.tail != y.tail:
-        raise ValueError("x - y has infinite support: tails differ")
-    idx = set(x.overrides) | set(y.overrides)
-    return {i: x.coord(i) - y.coord(i) for i in idx}
-
-
 def distance(x: SeqVector, y: SeqVector) -> float:
-    """‖x - y‖.  Exact finite sum when the tails match; for differing tails
-    falls back to the norm/inner-product identity, which loses half the
-    significant digits when x and y nearly coincide.  The finite sum scales
-    the differences by an exact power of two so that no square under- or overflows."""
-    if x.tail == y.tail:
-        diffs = diff_coords(x, y).values()
-        top = max(map(abs, diffs), default=0.0)
-        if top == 0.0:
-            return 0.0
-        k = math.frexp(top)[1]
-        scaled = [math.ldexp(d, -k) for d in diffs]
-        return math.ldexp(math.sqrt(math.fsum(d * d for d in scaled)), k)
-    gap_sq = x.norm_sq() - 2.0 * x.dot(y) + y.norm_sq()
-    return math.sqrt(max(gap_sq, 0.0))
+    """‖x - y‖, the square root of one exactly rounded sum.
+
+    The coordinate differences are summed up to the last index where x or y
+    is not pure tail (over the overrides alone when the tails are equal);
+    beyond it the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)² in
+    closed form, with h the tail values just past that index.  Every term is
+    scaled by the same power of two first, so no square under- or overflows."""
+    signed = ((1.0, x.tail), (-1.0, y.tail))
+    tails = [] if x.tail == y.tail else [(s, t) for s, t in signed if t is not None]
+    last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
+    idx = {*x.overrides, *y.overrides}
+    for _, t in tails:
+        idx.update(range(t.start, last + 1))
+    diffs = [x.coord(i) - y.coord(i) for i in idx]
+    heads = [(s * t.value_at(last + 1), t.ratio) for s, t in tails]
+    top = max(map(abs, [*diffs, *(h for h, _ in heads)]), default=0.0)
+    if top == 0.0:
+        return 0.0
+    k = math.frexp(top)[1]
+    scaled = [math.ldexp(d, -k) for d in diffs]
+    heads = [(math.ldexp(h, -k), r) for h, r in heads]
+    # 1 - pq as (1 - p) + p(1 - q), a sum of two positive terms: no cancellation
+    terms = [d * d for d in scaled]
+    terms += [a * b / ((1.0 - p) + p * (1.0 - q)) for a, p in heads for b, q in heads]
+    return math.ldexp(math.sqrt(math.fsum(terms)), k)
 
 
 class L2Region(Enum):
@@ -364,7 +354,7 @@ def l2_nonfrechet_witness(x: SeqVector, n: int) -> WitnessReport:
 def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
     """A point outside the cone within eps of the cone member x.
 
-    Keeps x up to an index m carrying all but eps²/4 of the remaining mass,
+    Keeps x up to an index m beyond which its tail has norm below eps/2,
     then dips the next coordinate to -eps/2 and cuts the tail.  Existence
     for every x and eps is what makes the cone's interior empty — there is
     no ball around any member that stays inside.
@@ -374,19 +364,18 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
     eps = float(eps)
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError("eps must be positive and finite")
+    dip = eps / 2.0
+    if dip == 0.0:  # a zero dip would leave x inside the cone
+        raise ValueError("eps/2 underflows to 0 in floating point; pick a larger eps")
     m = x.support_max
     if x.tail is not None:
         m = max(m, x.tail.start - 1)
-        target = eps * eps / 4.0
-        if target == 0.0:  # no tail mass could be compared with it
-            raise ValueError("eps²/4 underflows to 0 in floating point; pick a larger eps")
-        mass = x.tail_mass_after(m)
-        if mass >= target and mass > 0.0:
-            jump = math.log(target / mass) / (2.0 * math.log(x.tail.ratio))
-            m += max(0, math.ceil(jump))
-        while x.tail_mass_after(m) >= target:
+        norm = x.tail.norm_from(m + 1)
+        if norm >= dip:
+            m += max(0, math.ceil(math.log(dip / norm) / math.log(x.tail.ratio)))
+        while x.tail.norm_from(m + 1) >= dip:
             m += 1
     tail = range(x.tail.start, m + 1) if x.tail else ()  # before it, only overrides are nonzero
     coords = {i: x.coord(i) for i in {*x.overrides, *tail} if x.coord(i) != 0.0}
-    coords[m + 1] = -eps / 2.0
+    coords[m + 1] = -dip
     return SeqVector(coords, None)

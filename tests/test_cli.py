@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -296,6 +297,46 @@ def test_witness_coordinate_underflowed_to_zero_keeps_exact_residuals(tmp_path, 
     lines = out.splitlines()
     assert "residual_u = 0.5" in lines
     assert "residual_v = 0.66666666666666663" in lines
+
+
+def escape_job(x, epsilon):
+    return {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "epsilon": epsilon}}
+
+
+def test_witness_escape_refuses_eps_whose_half_underflows(tmp_path, capsys):
+    # -5e-324 / 2 rounds to -0.0, which would leave x itself as the "escape"
+    code, out, err = run(tmp_path, capsys, escape_job({"overrides": [], "tail": {"kind": "zero"}}, 5e-324))
+    assert code == 2 and out == ""
+    assert err == "error: eps/2 underflows to 0 in floating point; pick a larger eps\n"
+    assert "Traceback" not in err
+
+
+def test_witness_escape_at_scale_1e200(tmp_path, capsys):
+    # eps²/4 and the squared tail mass overflow to inf here; the tail norm does not
+    x = {"overrides": [], "tail": {"kind": "geometric", "a": 1e200, "rho": 0.5, "start": 1}}
+    code, out, err = run(tmp_path, capsys, escape_job(x, 1e200))
+    assert code == 0 and err == ""
+    assert "outside_cone = true" in out.splitlines()
+
+
+def test_witness_escape_distance_across_a_slow_tail_is_exact(tmp_path, capsys):
+    # the norm identity printed 2.7701735588603616e-06 here, failing the verdict
+    x = {"overrides": [[1, 0.5]], "tail": {"kind": "geometric", "a": 1, "rho": 0.999, "start": 2}}
+    code, out, err = run(tmp_path, capsys, escape_job(x, 1e-6))
+    assert code == 0 and err == ""
+    fields = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+    escape = dict(json.loads(fields["escape"])["overrides"])
+    got = float(fields["distance"])
+    # exact sum over the float coordinates x holds: its tail values are
+    # 0.999**(i - 2), as SeqVector computes them, up to the dip and beyond it
+    last = max(escape)
+    coord = {i: 1.0 * 0.999 ** (i - 2) for i in range(2, last + 2)}
+    coord[1] = 0.5
+    exact = sum((Fraction(coord[i]) - Fraction(escape.get(i, 0.0))) ** 2 for i in range(1, last + 1))
+    exact += Fraction(coord[last + 1]) ** 2 / (1 - Fraction(0.999) ** 2)
+    ulp = math.ulp(got)
+    assert Fraction(got - ulp) ** 2 <= exact <= Fraction(got + ulp) ** 2
+    assert got < 1e-6
 
 
 # ------------------------------------------------------- job file validation

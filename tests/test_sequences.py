@@ -15,7 +15,6 @@ from projderiv import (
     classify_cone,
     classify_l2,
     cone_gateaux,
-    diff_coords,
     distance,
     fd_directional,
     in_cone,
@@ -114,14 +113,14 @@ def test_editing_helpers():
 
 def test_norm_of_pure_geometric_tail():
     # sum of 4^-k: 1 / (1 - 1/4) = 4/3
-    assert SeqVector({}, geo(1.0)).norm_sq() == 4.0 / 3.0
-    assert SeqVector({}, None).norm_sq() == 0.0
+    assert SeqVector({}, geo(1.0)).dot(SeqVector({}, geo(1.0))) == 4.0 / 3.0
+    assert SeqVector({}, None).dot(SeqVector({}, None)) == 0.0
 
 
 def test_norm_with_shadowed_override():
     # coordinate 1 replaced: 9 + (4/3 - 1) = 28/3
     x = SeqVector({1: 3.0}, geo(1.0))
-    assert x.norm_sq() == pytest.approx(28.0 / 3.0, rel=1e-15)
+    assert x.dot(x) == pytest.approx(28.0 / 3.0, rel=1e-15)
 
 
 def test_norm_and_dot_against_dense_truncation():
@@ -130,7 +129,7 @@ def test_norm_and_dot_against_dense_truncation():
         x = random_seq(rng)
         y = random_seq(rng)
         dx, dy = x.truncate(400), y.truncate(400)  # remainder below 1e-30
-        assert x.norm_sq() == pytest.approx(float(dx @ dx), rel=1e-13)
+        assert x.dot(x) == pytest.approx(float(dx @ dx), rel=1e-13)
         assert x.dot(y) == pytest.approx(float(dx @ dy), rel=1e-12, abs=1e-13)
 
 
@@ -141,22 +140,23 @@ def test_dot_with_mismatched_tails():
     assert x.dot(y) == pytest.approx(float(dx @ dy), rel=1e-13)
 
 
-def test_tail_mass_after():
+def test_tail_norm_from():
     rng = np.random.default_rng(24)
     for _ in range(30):
-        x = random_seq(rng)
-        dense = x.truncate(400)
-        for j in (0, 3, 7, 64):
-            assert x.tail_mass_after(j) == pytest.approx(float(dense[j:] @ dense[j:]), rel=1e-12, abs=1e-300)
+        tail = random_seq(rng).tail
+        dense = SeqVector({}, tail).truncate(400)
+        for j in (1, 3, 7, 64):  # before and after the tail start at 6
+            want = float(np.linalg.norm(dense[j - 1:]))
+            assert tail.norm_from(j) == pytest.approx(want, rel=1e-12)
 
 
 def test_distance_same_tail_is_exact():
     x = SeqVector({1: 1.0}, geo(1.0, 0.5, 3))
     y = x.with_coord(5, 2.0)
-    assert diff_coords(y, x) == {5: 2.0 - 0.25, 1: 0.0}
+    assert {i: y.coord(i) - x.coord(i) for i in {*x.overrides, *y.overrides}} == {5: 1.75, 1: 0.0}
     assert distance(x, y) == 1.75
-    with pytest.raises(ValueError):
-        diff_coords(x, SeqVector({1: 1.0}, None))
+    # cutting the tail leaves its norm from index 3: 1 / sqrt(3/4)
+    assert distance(x, SeqVector({1: 1.0}, None)) == pytest.approx(2.0 / math.sqrt(3.0), rel=1e-15)
 
 
 def test_distance_scales_before_squaring():
@@ -164,7 +164,7 @@ def test_distance_scales_before_squaring():
     for scale in (1e-200, 1e200):
         x = SeqVector({1: 3.0 * scale}, geo(1.0, 0.5, 3))
         y = SeqVector({2: -4.0 * scale}, geo(1.0, 0.5, 3))
-        assert distance(x, y) == pytest.approx(5.0 * scale, rel=1e-15)
+        assert distance(x, y) == pytest.approx(5.0 * scale, rel=1e-15, abs=0.0)
     assert distance(SeqVector({}, None), SeqVector({}, None)) == 0.0
 
 
@@ -176,8 +176,19 @@ def test_distance_is_bit_identical_to_the_unscaled_sum_at_normal_magnitudes():
         values = rng.standard_normal(2 * size) * 10.0**exps
         x = SeqVector(dict(enumerate(values[:size].tolist(), 1)), None)
         y = SeqVector(dict(enumerate(values[size:].tolist(), 1)), None)
-        unscaled = math.sqrt(math.fsum(d * d for d in diff_coords(x, y).values()))
+        diffs = [x.coord(i) - y.coord(i) for i in {*x.overrides, *y.overrides}]
+        unscaled = math.sqrt(math.fsum(d * d for d in diffs))
         assert distance(x, y) == unscaled
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_distance_across_tails_at_extreme_scales(scale):
+    # only the tail 4s·0.5^(i-2) from index 2 differs: its norm is 4s / sqrt(3/4);
+    # the norm identity returned 0.0 at 1e-200 (squares underflow) and nan at 1e200
+    x = SeqVector({1: 3.0 * scale}, geo(4.0 * scale, 0.5, 2))
+    y = SeqVector({1: 3.0 * scale}, None)
+    assert distance(x, y) == pytest.approx(scale * 4.0 / math.sqrt(0.75), rel=1e-15, abs=0.0)
+    assert distance(y, x) == distance(x, y)
 
 
 def test_distance_cross_tails_against_dense():
@@ -525,15 +536,13 @@ def test_escape_witness_random_members():
 
 
 def escape_by_dense_walk(x, eps):
-    """The witness as first written: every index from 1 to m is visited."""
+    """The witness as first written: m found by walking index by index, and
+    every index from 1 to m visited."""
     m = x.support_max
     if x.tail is not None:
-        m = max(m, x.tail.start - 1)
-        target = eps * eps / 4.0
-        mass = x.tail_mass_after(m)
-        if mass >= target and mass > 0.0:
-            m += max(0, math.ceil(math.log(target / mass) / (2.0 * math.log(x.tail.ratio))))
-        while x.tail_mass_after(m) >= target:
+        a, rho, start = x.tail.coeff, x.tail.ratio, x.tail.start
+        m = max(m, start - 1)
+        while abs(a * rho ** (m + 1 - start)) / math.sqrt(1.0 - rho * rho) >= eps / 2.0:
             m += 1
     coords = {i: x.coord(i) for i in range(1, m + 1) if x.coord(i) != 0.0}
     coords[m + 1] = -eps / 2.0
@@ -563,13 +572,59 @@ def test_escape_witness_far_tail_start_skips_the_empty_head():
     assert distance(x, y) < 0.1
 
 
-def test_escape_witness_refuses_eps_whose_square_underflows():
-    # eps²/4 = 0 once eps < ~3e-162; comparing tail mass with it looped forever
+def test_escape_witness_below_square_underflow():
+    # eps²/4 is 0 in float64 once eps < ~3e-162; the tail norm is compared with eps/2
     x = SeqVector({}, geo(5e-324))
-    with pytest.raises(ValueError, match=r"underflows to 0"):
-        interior_escape_witness(x, 1e-300)
-    # without a tail nothing is compared, and the dip alone is the witness
+    y = interior_escape_witness(x, 1e-300)
+    assert y == SeqVector({1: -5e-301}, None)
+    assert distance(x, y) < 1e-300
+    x = SeqVector({}, geo(1e-300, 0.5))
+    y = interior_escape_witness(x, 1e-300)
+    assert y == SeqVector({1: 1e-300, 2: 5e-301, 3: -5e-301}, None)
+    assert distance(x, y) < 1e-300
     assert interior_escape_witness(SeqVector({}, None), 1e-300) == SeqVector({1: -5e-301}, None)
+
+
+@pytest.mark.parametrize("x", [SeqVector({}, None), SeqVector({2: 1.0}, None), SeqVector({}, geo(1.0))])
+def test_escape_witness_refuses_eps_whose_half_underflows(x):
+    # -5e-324 / 2 rounds to -0.0, a dip the cone cannot tell from zero
+    with pytest.raises(ValueError, match=r"^eps/2 underflows to 0"):
+        interior_escape_witness(x, 5e-324)
+
+
+cone_members = st.builds(
+    SeqVector,
+    st.dictionaries(
+        st.integers(min_value=1, max_value=20),
+        st.just(0.0) | st.floats(min_value=2.0**-20, max_value=2.0**20),
+        max_size=5,
+    ),
+    st.none()
+    | st.builds(
+        GeometricTail,
+        coeff=st.floats(min_value=2.0**-20, max_value=2.0**20),
+        ratio=st.floats(min_value=0.05, max_value=0.9),
+        start=st.integers(min_value=1, max_value=20),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    x=cone_members,
+    eps=st.sampled_from([1.0, 1e-2, 1e-6]),
+    k=st.integers(min_value=500, max_value=900) | st.integers(min_value=-900, max_value=-500),
+)
+def test_escape_witness_scales_exactly_by_powers_of_two(x, eps, k):
+    # multiplying by 2^k is exact far from subnormals and overflow, so the
+    # scaled job must give the scaled escape and distance bit for bit
+    tail = x.tail and GeometricTail(math.ldexp(x.tail.coeff, k), x.tail.ratio, x.tail.start)
+    scaled = SeqVector({i: math.ldexp(v, k) for i, v in x.overrides.items()}, tail)
+    y = interior_escape_witness(x, eps)
+    y_scaled = interior_escape_witness(scaled, math.ldexp(eps, k))
+    assert y_scaled == SeqVector({i: math.ldexp(v, k) for i, v in y.overrides.items()}, None)
+    assert distance(scaled, y_scaled) == math.ldexp(distance(x, y), k)
+    assert distance(x, y) < eps
 
 
 def test_escape_witness_validation():
