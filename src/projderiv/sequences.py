@@ -24,11 +24,14 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
 from .vectors import Vector, parse_numbers
+
+_MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,13 @@ class GeometricTail:
         if i < self.start:
             return 0.0
         try:
-            return self.coeff * self.ratio ** (i - self.start)
+            power = self.ratio ** (i - self.start)
         except OverflowError:  # an exponent beyond the float range: ratio < 1 underflows
             return 0.0
+        if power >= _MIN_NORMAL:
+            return self.coeff * power
+        n = i - self.start  # the power is subnormal or 0: apply a large coefficient halfway down
+        return self.coeff * self.ratio ** (n // 2) * self.ratio ** (n - n // 2)
 
     def norm_from(self, i: int) -> float:
         """ℓ² norm of the tail's coordinates at indices i and beyond."""
@@ -200,19 +207,21 @@ class SeqVector:
 
 
 def distance(x: SeqVector, y: SeqVector) -> float:
-    """‖x - y‖, the square root of one exactly rounded sum.
+    """‖x - y‖, within about an ulp at any scale.
 
     The coordinate differences are summed up to the last index where x or y
     is not pure tail (over the overrides alone when the tails are equal);
-    beyond it the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)² in
-    closed form, with h the tail values just past that index.  Every term is
-    scaled by the same power of two first, so no square under- or overflows."""
+    beyond it the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)², with
+    h the tail values just past that index, as an exact rational.  Every term
+    is scaled by one power of two and rounded once before one exactly
+    rounded sum."""
     signed = ((1.0, x.tail), (-1.0, y.tail))
     tails = [] if x.tail == y.tail else [(s, t) for s, t in signed if t is not None]
     last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
     idx = {*x.overrides, *y.overrides}
-    for _, t in tails:
-        idx.update(range(t.start, last + 1))
+    for _, t in tails:  # from |coeff|·ρ^n < 2^-1080 on, its coordinates are 0.0 in float64
+        reach = math.ceil((math.log(abs(t.coeff)) + 1080 * math.log(2.0)) / -math.log(t.ratio))
+        idx.update(range(t.start, min(last, t.start + reach) + 1))
     diffs = [x.coord(i) - y.coord(i) for i in idx]
     heads = [(s * t.value_at(last + 1), t.ratio) for s, t in tails]
     top = max(map(abs, [*diffs, *(h for h, _ in heads)]), default=0.0)
@@ -220,11 +229,10 @@ def distance(x: SeqVector, y: SeqVector) -> float:
         return 0.0
     k = math.frexp(top)[1]
     scaled = [math.ldexp(d, -k) for d in diffs]
-    heads = [(math.ldexp(h, -k), r) for h, r in heads]
-    # 1 - pq as (1 - p) + p(1 - q), a sum of two positive terms: no cancellation
-    terms = [d * d for d in scaled]
-    terms += [a * b / ((1.0 - p) + p * (1.0 - q)) for a, p in heads for b, q in heads]
-    return math.ldexp(math.sqrt(math.fsum(terms)), k)
+    heads = [(Fraction(math.ldexp(h, -k)), Fraction(r)) for h, r in heads]
+    # Σ_k (Σ_t a_t p_t^k)² = Σ_{s,t} a_s a_t / (1 - p_s p_t), exact and so never negative
+    beyond = sum(a * b / (1 - p * q) for a, p in heads for b, q in heads)
+    return math.ldexp(math.sqrt(math.fsum([*(d * d for d in scaled), float(beyond)])), k)
 
 
 class L2Region(Enum):
@@ -370,12 +378,13 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
     m = x.support_max
     if x.tail is not None:
         m = max(m, x.tail.start - 1)
-        norm = x.tail.norm_from(m + 1)
-        if norm >= dip:
-            m += max(0, math.ceil(math.log(dip / norm) / math.log(x.tail.ratio)))
+        head, r = abs(x.tail.value_at(m + 1)), x.tail.ratio
+        if head > 0.0:  # log(norm_from(m + 1) / dip), summed so nothing leaves the float range
+            excess = math.log(head) - 0.5 * math.log((1.0 - r) * (1.0 + r)) - math.log(dip)
+            m += max(0, math.ceil(excess / -math.log(r)) - 1)  # one short; the walk settles m
         while x.tail.norm_from(m + 1) >= dip:
             m += 1
     tail = range(x.tail.start, m + 1) if x.tail else ()  # before it, only overrides are nonzero
-    coords = {i: x.coord(i) for i in {*x.overrides, *tail} if x.coord(i) != 0.0}
+    coords = {i: v for i in {*x.overrides, *tail} if (v := x.coord(i)) != 0.0}
     coords[m + 1] = -dip
     return SeqVector(coords, None)

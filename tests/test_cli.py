@@ -319,6 +319,18 @@ def test_witness_escape_at_scale_1e200(tmp_path, capsys):
     assert "outside_cone = true" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "a, rho, epsilon",
+    [(1e100, 0.5, 1e-300), (1e308, 0.9, 1.0)],  # dip / norm underflows; the norm overflows
+)
+def test_witness_escape_at_extreme_tail_to_eps_ratios(tmp_path, capsys, a, rho, epsilon):
+    x = {"overrides": [], "tail": {"kind": "geometric", "a": a, "rho": rho, "start": 1}}
+    code, out, err = run(tmp_path, capsys, escape_job(x, epsilon))
+    assert code == 0 and err == ""
+    assert "outside_cone = true" in out.splitlines()
+    assert "VERDICT escape pass" in out
+
+
 def test_witness_escape_distance_across_a_slow_tail_is_exact(tmp_path, capsys):
     # the norm identity printed 2.7701735588603616e-06 here, failing the verdict
     x = {"overrides": [[1, 0.5]], "tail": {"kind": "geometric", "a": 1, "rho": 0.999, "start": 2}}

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,37 @@ def test_distance_across_tails_at_extreme_scales(scale):
     assert distance(y, x) == distance(x, y)
 
 
+def assert_within_one_ulp(got, exact_sq):
+    ulp = math.ulp(got)
+    assert Fraction(got - ulp) ** 2 <= exact_sq <= Fraction(got + ulp) ** 2
+
+
+@pytest.mark.parametrize(
+    "tx, ty",
+    [
+        (geo(1.0), geo(1.0 + 2.0**-52)),  # equal ratios
+        (geo(1.0), geo(1.0, 0.5 + 2.0**-53)),  # equal heads, ratios 1 ulp apart
+        (geo(1.0, 0.999), geo(1.0 - 2.0**-53, 0.999 - 2.0**-53)),
+    ],
+)
+def test_distance_between_nearly_equal_tails(tx, ty):
+    # expanding the square of the tail difference cancelled to a negative sum here
+    x, y = SeqVector({}, tx), SeqVector({}, ty)
+    a, p, b, q = (Fraction(v) for v in (tx.coeff, tx.ratio, ty.coeff, ty.ratio))
+    exact = a * a / (1 - p * p) - 2 * a * b / (1 - p * q) + b * b / (1 - q * q)
+    assert_within_one_ulp(distance(x, y), exact)
+    assert distance(y, x) == distance(x, y)
+
+
+def test_distance_to_a_far_override_stops_where_the_tail_vanishes():
+    # the tail's coordinates are 0.0 beyond index ~1080; the sum must not visit 1e9 indices
+    x = SeqVector({}, geo(1.0))
+    y = SeqVector({10**9: 1.0}, None)
+    began = time.perf_counter()
+    assert_within_one_ulp(distance(x, y), Fraction(7, 3))
+    assert time.perf_counter() - began < 1.0
+
+
 def test_distance_cross_tails_against_dense():
     x = SeqVector({2: -1.0}, geo(1.5, 0.5, 1))
     y = SeqVector({1: 4.0}, geo(0.5, 0.25, 2))
@@ -269,6 +301,13 @@ def test_from_record_numbers_must_be_finite_json_numbers(bad):
 def test_tail_value_far_beyond_the_float_exponent_range_is_zero():
     assert geo(1.0, 0.5, 1).value_at(10**400) == 0.0
     assert geo(1.0, 1.0 - 2.0**-53, 1).value_at(2**64 + 1) == 0.0
+
+
+def test_tail_value_keeps_a_large_coefficient_where_the_power_underflows():
+    # 0.5**1999 is 0 in float64, yet 1e300 * 0.5**1999 ≈ 1.7e-302 is a normal number
+    assert geo(1e300, 0.5, 1).value_at(2000) == float(Fraction(1e300) / 2**1999)
+    exact = Fraction(1e300) * Fraction(0.3) ** 700  # 0.3**700 is subnormal
+    assert geo(1e300, 0.3, 1).value_at(701) == pytest.approx(float(exact), rel=4e-16)
 
 
 # ------------------------------------------------------------ classification
@@ -583,6 +622,34 @@ def test_escape_witness_below_square_underflow():
     assert y == SeqVector({1: 1e-300, 2: 5e-301, 3: -5e-301}, None)
     assert distance(x, y) < 1e-300
     assert interior_escape_witness(SeqVector({}, None), 1e-300) == SeqVector({1: -5e-301}, None)
+
+
+def exact_escape_distance_sq(x, y):
+    """‖x − y‖² as a Fraction, for an escape y that cut x's tail at its last override."""
+    m = y.support_max
+    near = sum((Fraction(x.coord(i)) - Fraction(y.coord(i))) ** 2 for i in range(1, m + 1))
+    return near + Fraction(x.coord(m + 1)) ** 2 / (1 - Fraction(x.tail.ratio) ** 2)
+
+
+@pytest.mark.parametrize(
+    "coeff, ratio, eps",
+    [
+        (1e100, 0.5, 1e-300),  # dip / norm underflows to 0
+        (1e300, 0.5, 1e-200),  # 0.5**(i - 1) underflows long before the tail drops below eps
+        (1.7e308, 0.5, 1.0),  # the tail norm overflows to inf
+        (1e308, 0.9, 1.0),
+    ],
+)
+def test_escape_witness_at_extreme_tail_to_eps_ratios(coeff, ratio, eps):
+    x = SeqVector({}, geo(coeff, ratio))
+    y = interior_escape_witness(x, eps)
+    assert not in_cone(y)
+    exact = exact_escape_distance_sq(x, y)
+    assert exact < Fraction(eps) ** 2
+    assert_within_one_ulp(distance(x, y), exact)
+    # the cut-off is the first index whose tail norm is below eps/2
+    m = y.support_max - 1
+    assert x.tail.norm_from(m + 1) < eps / 2.0 <= x.tail.norm_from(m)
 
 
 @pytest.mark.parametrize("x", [SeqVector({}, None), SeqVector({2: 1.0}, None), SeqVector({}, geo(1.0))])
