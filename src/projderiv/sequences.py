@@ -152,7 +152,8 @@ class SeqVector:
         if self.tail is not None and other.tail is not None:
             s0 = max(self.tail.start, other.tail.start)
             head = self.tail.value_at(s0) * other.tail.value_at(s0)
-            total += head / (1.0 - self.tail.ratio * other.tail.ratio)
+            rx, ry = self.tail.ratio, other.tail.ratio  # 1 - rx·ry without cancellation near 1
+            total += head / ((1.0 - rx) + rx * (1.0 - ry))
         return total
 
     def to_record(self) -> dict:

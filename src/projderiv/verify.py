@@ -9,14 +9,15 @@ Three independent instruments:
   (:func:`qp_projection_oracle`) kept deliberately separate from the
   closed-form projections so the two can cross-check each other.
 
-All sampling is seeded and single-threaded; reports are deterministic for a
-given seed regardless of how callers schedule the sample evaluations,
-because each stack of samples is drawn up front in index order, before any
-of it is evaluated, and merged by index.
+All sampling is seeded and single-threaded.  The residual scan draws each
+chunk of sample pairs in one bulk call, before any of it is evaluated, and
+reuses those unit-ball pairs at every radius (common random numbers), so a
+report depends only on the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,9 +27,6 @@ from .balls import Ball
 from .vectors import Vector, as_vector, _same_dim
 
 _EPS = float(np.finfo(np.float64).eps)
-# Redraws of a sample pair that collapsed onto one point before the scan
-# gives up: a usable radius collapses a pair with probability ~0.
-_MAX_REDRAWS = 100
 # Coordinates per (pairs, n) stack of the residual scan, whatever samples_per_radius is
 _CHUNK_COORDS = 2**16
 # Projected-gradient oracle: iteration budget, step-change tolerance, step η in (0, 1)
@@ -90,29 +88,6 @@ class ResidualScan:
         return worst
 
 
-def _sample_pairs(rng: np.random.Generator, base: Vector, radius: float, count: int):
-    """u, v, u - v, ‖u - v‖ and usability (distinct, nonzero Gaussians) of ``count`` pairs.
-
-    Points are drawn one at a time, u before v, as a Gaussian direction scaled by
-    U^(1/n): exact, and usable at n = 16, where cube rejection accepts ~4e-6 of draws.
-    """
-    dim = base.size
-    g = np.empty((count, 2, dim))
-    radial = []
-    for row in g.reshape(-1, dim):
-        rng.standard_normal(out=row)
-        radial.append(rng.random() ** (1.0 / dim))  # Python **: np.power rounds differently
-    norm = np.sqrt(np.vecdot(g, g))[..., None]
-    drawn = norm > 0.0
-    g /= np.where(drawn, norm, 1.0)  # an all-zero draw stays zero, without a 0/0 warning
-    g *= np.array(radial).reshape(count, 2, 1)
-    points = base + radius * g
-    u, v = points[:, 0], points[:, 1]
-    diff = u - v
-    gap = np.sqrt(np.vecdot(diff, diff))
-    return u, v, diff, gap, (gap > 0.0) & drawn.all(axis=(1, 2))
-
-
 def strict_residual_scan(
     f: Callable[[Vector], Vector],
     deriv: Callable[[Vector], Vector],
@@ -129,8 +104,11 @@ def strict_residual_scan(
     decays linearly (one decade of radius costs one decade of residual).
     ``f`` and ``deriv`` receive and return (S, n) stacks, one point or
     difference per row, once per radius and chunk of ≤ ``_CHUNK_COORDS``
-    coordinates.  Collapsed pairs are redrawn after their chunk; a radius too
-    small to move the base point in floating point is refused with ValueError.
+    coordinates.  Each chunk of pairs is drawn once, as unit-ball points
+    ĝ = g/‖g‖·U^(1/n) (exact, and usable at n = 16, where cube rejection
+    accepts ~4e-6 of draws), and every radius evaluates x + ρ·ĝ.  A pair
+    that rounds onto one point is skipped; a radius at which no pair moves
+    the base point in floating point is refused with ValueError.
     """
     base = as_vector(base)
     radii = tuple(float(r) for r in radii)
@@ -139,30 +117,34 @@ def strict_residual_scan(
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be at least 1")
     rng = np.random.default_rng(seed)
-    chunk = max(1, _CHUNK_COORDS // base.size)
-    residuals = []
-    for radius in radii:
-        worst = 0.0
-        for start in range(0, samples_per_radius, chunk):
-            count = min(chunk, samples_per_radius - start)
-            u, v, diff, gap, usable = _sample_pairs(rng, base, radius, count)
-            for i in np.flatnonzero(~usable):
-                for _ in range(_MAX_REDRAWS - 1):
-                    *pair, ok = _sample_pairs(rng, base, radius, 1)
-                    if ok[0]:
-                        break
-                else:
-                    raise ValueError(
-                        f"scan radius {radius:.17g} does not move the base point in floating point"
-                    )
-                u[i], v[i], diff[i], gap[i] = (a[0] for a in pair)
+    dim = base.size
+    chunk = max(1, _CHUNK_COORDS // dim)
+    worst = [0.0] * len(radii)
+    moved = [False] * len(radii)
+    for start in range(0, samples_per_radius, chunk):
+        g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
+        g *= rng.random((len(g), 2, 1)) ** (1.0 / dim) / np.sqrt(np.vecdot(g, g))[..., None]
+        for k, radius in enumerate(radii):
+            points = base + radius * g
+            u, v = points[:, 0], points[:, 1]
+            diff = u - v
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
             num = num - np.asarray(deriv(diff), dtype=np.float64)
+            # scale by 2^-e ≈ 1/radius before squaring: exact, and no overflow at any scale
+            e = math.frexp(radius)[1]
+            diff, num = np.ldexp(diff, -e), np.ldexp(num, -e)
+            gap = np.sqrt(np.vecdot(diff, diff))
+            moved[k] |= bool(gap.any())
+            top = np.sqrt(np.vecdot(num, num))
+            ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
             # fmax: a NaN quotient (inf - inf in f) is skipped, not propagated
-            ratios = np.sqrt(np.vecdot(num, num)) / gap
-            worst = max(worst, float(np.fmax.reduce(ratios, initial=0.0)))
-        residuals.append(worst)
-    return ResidualScan(radii=radii, residuals=tuple(residuals))
+            worst[k] = max(worst[k], float(np.fmax.reduce(ratios, initial=0.0)))
+    for radius, ok in zip(radii, moved):
+        if not ok:
+            raise ValueError(
+                f"scan radius {radius:.17g} does not move the base point in floating point"
+            )
+    return ResidualScan(radii=radii, residuals=tuple(worst))
 
 
 @dataclass(frozen=True)

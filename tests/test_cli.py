@@ -268,12 +268,31 @@ def test_witness_wrong_set_kind(tmp_path, capsys):
 
 def test_verify_scan_radius_below_resolution_is_unusable(tmp_path, capsys):
     # a radius of 1e-2 cannot move a coordinate of size 1e200, so every sample
-    # pair collapses onto the base point; the scan must refuse, not redraw forever
+    # pair collapses onto the base point; the scan must refuse, not loop or report 0
     job = {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1e200, -1e200]}}
     code, out, err = run(tmp_path, capsys, job)
     assert code == 2
     assert err.startswith("error: ") and "radius" in err
     assert out == ""
+
+
+def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, capsys):
+    # x and the radii times 2^890 is exact, so every residual keeps its bits;
+    # squared differences near 2^1780 overflowed and printed residual=0
+    def residuals(scale):
+        job = {
+            "command": "verify",
+            "set": {"kind": "cone_rn"},
+            "inputs": {"x": [scale, -scale]},
+            "options": {"seed": 4, "radii": [2.0 * scale, 0.2 * scale]},
+        }
+        code, out, err = run(tmp_path, capsys, job)
+        assert code != 2 and err == ""
+        return [line.split(" residual=")[1] for line in out.splitlines() if line.startswith("scan ")]
+
+    unit = residuals(1.0)
+    assert unit[0] != "0"
+    assert residuals(2.0**890) == unit
 
 
 def test_witness_below_square_underflow_keeps_exact_residuals(tmp_path, capsys):

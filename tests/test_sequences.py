@@ -141,6 +141,15 @@ def test_dot_with_mismatched_tails():
     assert x.dot(y) == pytest.approx(float(dx @ dy), rel=1e-13)
 
 
+@pytest.mark.parametrize("rho_y", [0.999999, 0.999999 + 5e-7])
+def test_dot_of_tails_with_ratios_near_one(rho_y):
+    # Σ ρx^k ρy^k = 1 / (1 - ρx ρy); written as 1 - ρx ρy it cancels to ~95,000 ulp off
+    x = SeqVector({}, geo(1.0, 0.999999))
+    y = SeqVector({}, geo(1.0, rho_y))
+    exact = float(1 / (1 - Fraction(0.999999) * Fraction(rho_y)))
+    assert abs(x.dot(y) - exact) <= math.ulp(exact)
+
+
 def test_tail_norm_from():
     rng = np.random.default_rng(24)
     for _ in range(30):

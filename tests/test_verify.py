@@ -1,5 +1,10 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projderiv import verify
 from projderiv import (
@@ -17,39 +22,28 @@ from projderiv import (
 )
 from projderiv.vectors import as_vector
 
-_MAX_REDRAWS = 100
-
-
-# The scan as it was written before it was batched, one sample pair at a time,
-# kept verbatim as the reference the batched scan must match bit for bit.
-def _uniform_ball_point(rng, dim):
-    # Gaussian direction scaled by U^(1/dim): exact uniform sampling that stays
-    # usable at dim 16, where cube rejection accepts ~4e-6 of draws.
-    while True:
-        g = rng.standard_normal(dim)
-        n = float(np.linalg.norm(g))
-        if n > 0.0:
-            return (g / n) * rng.random() ** (1.0 / dim)
-
-
+# The scan one sample pair at a time, with np.linalg.norm and no power-of-two
+# scaling, from the same bulk stream: one normal and one uniform draw per chunk
+# of pairs, reused at every radius.  The batched scan must match it bit for bit.
 def reference_scan(f, deriv, base, radii=(1e-2, 1e-3, 1e-4, 1e-5), samples_per_radius=64, seed=0):
     base = as_vector(base)
     rng = np.random.default_rng(seed)
     dim = base.size
+    chunk = max(1, verify._CHUNK_COORDS // dim)
+    pairs = []
+    for start in range(0, samples_per_radius, chunk):
+        g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
+        radial = rng.random((len(g), 2)) ** (1.0 / dim)
+        for points, scales in zip(g, radial):
+            pairs.append([p * (s / np.linalg.norm(p)) for p, s in zip(points, scales)])
     residuals = []
     for radius in radii:
         worst = 0.0
-        for _ in range(samples_per_radius):
-            for _ in range(_MAX_REDRAWS):
-                u = base + radius * _uniform_ball_point(rng, dim)
-                v = base + radius * _uniform_ball_point(rng, dim)
-                gap = float(np.linalg.norm(u - v))
-                if gap > 0.0:
-                    break
-            else:
-                raise ValueError(
-                    f"scan radius {radius:.17g} does not move the base point in floating point"
-                )
+        for gu, gv in pairs:
+            u, v = base + radius * gu, base + radius * gv
+            gap = float(np.linalg.norm(u - v))
+            if gap == 0.0:
+                continue
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
             num = num - np.asarray(deriv(u - v), dtype=np.float64)
             worst = max(worst, float(np.linalg.norm(num)) / gap)
@@ -172,24 +166,45 @@ def test_scan_spanning_several_chunks_matches_reference():
         assert scan.residuals == reference_scan(f, deriv, base, radii, samples, seed)
 
 
-def test_scan_partial_collapse_is_redrawn_deterministically(monkeypatch):
-    # 2e-16 spans only the floats next to 1.0, so many pairs round onto one point
-    redraws = []
-    sample_pairs = verify._sample_pairs
-
-    def counting(rng, base, radius, count):
-        redraws.append(count == 1)
-        return sample_pairs(rng, base, radius, count)
-
-    monkeypatch.setattr(verify, "_sample_pairs", counting)
+def _ball_at_one():
     ball = Ball(center=[0.0], radius=0.5)
-    f = lambda p: project_ball(ball, p)
-    deriv = ball_frechet_derivative(ball, [1.0]).apply
+    return (lambda p: project_ball(ball, p)), ball_frechet_derivative(ball, [1.0]).apply
+
+
+def test_scan_skips_pairs_that_round_onto_one_point():
+    # 2e-16 spans only the floats next to 1.0, so many pairs round onto one point
+    f, deriv = _ball_at_one()
     scan = lambda: strict_residual_scan(f, deriv, [1.0], radii=(2e-16,), seed=3).residuals
     first = scan()
-    assert any(redraws)
-    assert first == scan()
     assert np.isfinite(first[0])
+    assert first == scan() == reference_scan(f, deriv, [1.0], radii=(2e-16,), seed=3)
+
+
+def test_scan_refuses_a_radius_that_moves_no_pair():
+    f, deriv = _ball_at_one()
+    message = f"scan radius {1e-20:.17g} does not move the base point in floating point"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strict_residual_scan(f, deriv, [1.0], radii=(1e-2, 1e-20), seed=3)
+
+
+# |k| ≥ 600 reaches the points whose squared differences overflow or underflow,
+# so both ends are drawn as often as the middle.  The candidate comes from the
+# unscaled x: classify_cone's sign band is absolute, so it would misclassify
+# some scaled points.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x=st.lists(st.floats(0.25, 4.0) | st.floats(-4.0, -0.25), min_size=1, max_size=4),
+    radii=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+    k=st.integers(-1000, -600) | st.integers(-599, 599) | st.integers(600, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_residuals_are_invariant_under_power_of_two_scaling(x, radii, k, seed):
+    x = np.array(x)
+    deriv = cone_frechet_derivative(x).apply
+    unit = strict_residual_scan(project_cone, deriv, x, radii, 16, seed)
+    scaled_radii = [math.ldexp(r, k) for r in radii]
+    scaled = strict_residual_scan(project_cone, deriv, np.ldexp(x, k), scaled_radii, 16, seed)
+    assert scaled.residuals == unit.residuals
 
 
 def test_sphere_point_residuals_do_not_decay():
