@@ -48,6 +48,13 @@ class BallRegion:
     signed_gap: float  # ‖x - center‖ - radius
 
 
+def _scaled(d: Vector) -> tuple[Vector, int]:
+    """(d / 2^k, k) with 2^k just above max |d_i|: exact, and the squares of
+    d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
+    k = math.frexp(float(np.max(np.abs(d))))[1]
+    return np.ldexp(d, -k), k
+
+
 def sphere_tolerance(radius: float) -> float:
     """Width of the band around the sphere that classifies as on-sphere."""
     return 1e-12 * (1.0 + radius)
@@ -57,7 +64,8 @@ def classify_ball(ball: Ball, x) -> BallRegion:
     """Classify x as interior / exterior / on the sphere, with ties to sphere."""
     x = as_vector(x)
     _same_dim(ball.center, x)
-    gap = float(np.linalg.norm(x - ball.center)) - ball.radius
+    d, k = _scaled(x - ball.center)
+    gap = math.ldexp(math.sqrt(float(np.dot(d, d))), k) - ball.radius
     if abs(gap) <= sphere_tolerance(ball.radius):
         tag = BallRegionTag.SPHERE
     elif gap < 0.0:
@@ -102,7 +110,8 @@ class BallDeriv:
     kind: BallDerivKind
     dim: int
     anchor: Vector | None = None  # x - center, exterior points only
-    radius: float | None = None
+    scaled_anchor: Vector | None = None  # anchor / 2^k (see _scaled)
+    scale: float | None = None  # radius / ‖anchor‖
 
     @property
     def is_linear(self) -> bool:
@@ -116,10 +125,9 @@ class BallDeriv:
         if self.kind is BallDerivKind.IDENTITY:
             return w
         if self.kind is BallDerivKind.EXTERIOR:
-            a = self.anchor
-            na2 = float(np.dot(a, a))
-            radial = (np.vecdot(w, a) / na2)[..., None] * a
-            return (self.radius / math.sqrt(na2)) * (w - radial)
+            a = self.scaled_anchor
+            radial = (np.vecdot(w, a) / float(np.dot(a, a)))[..., None] * a
+            return self.scale * (w - radial)
         raise ValueError("no linear derivative exists at a sphere point")
 
 
@@ -135,8 +143,12 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
         return BallDeriv(kind=BallDerivKind.IDENTITY, dim=x.size)
     if region.tag is BallRegionTag.EXTERIOR:
         anchor = x - ball.center
-        anchor.flags.writeable = False
-        return BallDeriv(kind=BallDerivKind.EXTERIOR, dim=x.size, anchor=anchor, radius=ball.radius)
+        scaled, k = _scaled(anchor)
+        scale = math.ldexp(ball.radius / math.sqrt(float(np.dot(scaled, scaled))), -k)
+        anchor.flags.writeable = scaled.flags.writeable = False
+        return BallDeriv(
+            kind=BallDerivKind.EXTERIOR, dim=x.size, anchor=anchor, scaled_anchor=scaled, scale=scale
+        )
     return BallDeriv(kind=BallDerivKind.NOT_FRECHET, dim=x.size)
 
 

@@ -72,19 +72,18 @@ def fmt_num(v: float) -> str:
 
 
 def fmt_vec(v) -> str:
-    return "[" + ", ".join(fmt_num(c) for c in np.asarray(v, dtype=np.float64)) + "]"
+    return "[" + ", ".join(["%.17g" % c for c in np.asarray(v, dtype=np.float64).tolist()]) + "]"
 
 
 def fmt_seq(s: SeqVector) -> str:
-    rec = s.to_record()
-    pairs = ", ".join(f"[{i}, {fmt_num(v)}]" for i, v in rec["overrides"])
-    tail = rec["tail"]
-    if tail["kind"] == "zero":
+    """The record form of s (see ``SeqVector.to_record``) as one line of JSON."""
+    pairs = ", ".join(["[%d, %.17g]" % p for p in s.overrides.items()])
+    t = s.tail
+    if t is None:
         tail_text = '{"kind": "zero"}'
     else:
-        tail_text = (
-            '{"kind": "geometric", "a": %s, "rho": %s, "start": %d}'
-            % (fmt_num(tail["a"]), fmt_num(tail["rho"]), tail["start"])
+        tail_text = '{"kind": "geometric", "a": %.17g, "rho": %.17g, "start": %d}' % (
+            t.coeff, t.ratio, t.start
         )
     return '{"overrides": [%s], "tail": %s}' % (pairs, tail_text)
 
@@ -235,7 +234,7 @@ def _echo_lines(job: JobSpec) -> list[str]:
     for key in sorted(job.options):
         value = job.options[key]
         if isinstance(value, tuple):
-            text = "[" + ", ".join(fmt_num(v) for v in value) + "]"
+            text = fmt_vec(value)
         else:
             text = str(value)
         lines.append(f"option {key} = {text}")
@@ -283,7 +282,7 @@ def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
         lines.append(f"linear = {str(deriv.is_linear).lower()}")
         if deriv.kind is BallDerivKind.EXTERIOR:
             lines.append(f"anchor = {fmt_vec(deriv.anchor)}")
-            lines.append(f"scale = {fmt_num(deriv.radius / float(np.linalg.norm(deriv.anchor)))}")
+            lines.append(f"scale = {fmt_num(deriv.scale)}")
         if deriv.kind is BallDerivKind.NOT_FRECHET:
             lines.append("note = no linear derivative exists on the sphere; use gateaux or refute")
             if w is not None:

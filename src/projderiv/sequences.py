@@ -21,10 +21,12 @@ Indices are 1-based throughout, matching the serialized form.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +34,7 @@ import numpy as np
 from .vectors import Vector, parse_numbers
 
 _MIN_NORMAL = sys.float_info.min
+_EXP_LIMIT = 2**1024 - 2**970  # the least int whose conversion to float overflows
 
 
 @dataclass(frozen=True)
@@ -53,17 +56,23 @@ class GeometricTail:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ratio", ratio)
 
+    def values(self, indices) -> list[float]:
+        """The tail's coordinates at the given indices, in one pass.
+
+        They are 0.0 before the start and where the exponent lies beyond the
+        float range (``ratio ** n`` would raise).  Where the power is
+        subnormal or 0, a large coefficient is applied halfway down, so a tail
+        such as 1e300·0.5^(i−1) is not cut at i ≈ 1075."""
+        a, r, s = self.coeff, self.ratio, self.start
+        return [
+            0.0 if not 0 <= (n := i - s) < _EXP_LIMIT
+            else a * p if (p := r**n) >= _MIN_NORMAL
+            else a * r ** (n // 2) * r ** (n - n // 2)
+            for i in indices
+        ]
+
     def value_at(self, i: int) -> float:
-        if i < self.start:
-            return 0.0
-        try:
-            power = self.ratio ** (i - self.start)
-        except OverflowError:  # an exponent beyond the float range: ratio < 1 underflows
-            return 0.0
-        if power >= _MIN_NORMAL:
-            return self.coeff * power
-        n = i - self.start  # the power is subnormal or 0: apply a large coefficient halfway down
-        return self.coeff * self.ratio ** (n // 2) * self.ratio ** (n - n // 2)
+        return self.values((i,))[0]
 
     def norm_from(self, i: int) -> float:
         """ℓ² norm of the tail's coordinates at indices i and beyond."""
@@ -71,13 +80,18 @@ class GeometricTail:
         return abs(self.value_at(max(i, self.start))) / math.sqrt((1.0 - r) * (1.0 + r))
 
 
-def _tail_value(tail: GeometricTail | None, i: int) -> float:
-    return 0.0 if tail is None else tail.value_at(i)
+def _tail_values(tail: GeometricTail | None, indices) -> list[float]:
+    return tail.values(indices) if tail else [0.0] * len(indices)
+
+
+def _check_indices(indices) -> None:
+    for i in indices:
+        if type(i) is not int or i < 1:  # type(True) is bool, not int
+            raise ValueError("coordinate indices must be positive integers")
 
 
 def _check_index(i) -> int:
-    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
-        raise ValueError("coordinate indices must be positive integers")
+    _check_indices((i,))
     return i
 
 
@@ -98,16 +112,13 @@ class SeqVector:
         tail = self.tail
         if tail is not None and tail.coeff == 0.0:
             tail = None
-        clean: dict[int, float] = {}
-        for i, v in self.overrides.items():
-            _check_index(i)
-            v = float(v)
-            if not math.isfinite(v):
-                raise ValueError("coordinate values must be finite")
-            if v == _tail_value(tail, i):
-                continue
-            clean[i] = v
-        object.__setattr__(self, "overrides", dict(sorted(clean.items())))
+        _check_indices(self.overrides)
+        indices = sorted(self.overrides)
+        values = list(map(float, map(self.overrides.__getitem__, indices)))
+        if not all(map(math.isfinite, values)):
+            raise ValueError("coordinate values must be finite")
+        differ = map(operator.ne, values, _tail_values(tail, indices))
+        object.__setattr__(self, "overrides", dict(compress(zip(indices, values), differ)))
         object.__setattr__(self, "tail", tail)
 
     @property
@@ -119,7 +130,11 @@ class SeqVector:
         _check_index(i)
         if i in self.overrides:
             return self.overrides[i]
-        return _tail_value(self.tail, i)
+        return 0.0 if self.tail is None else self.tail.value_at(i)
+
+    def coords(self, indices) -> list[float]:
+        """Coordinates at the given (positive integer) indices, in one pass."""
+        return list(map(self.overrides.get, indices, _tail_values(self.tail, indices)))
 
     def with_coord(self, i: int, value: float) -> "SeqVector":
         """Copy with coordinate i set to the given value."""
@@ -138,17 +153,14 @@ class SeqVector:
         """First m coordinates as a dense array."""
         if m < 1:
             raise ValueError("truncation length must be at least 1")
-        return np.array([self.coord(i) for i in range(1, m + 1)])
+        return np.array(self.coords(range(1, m + 1)))
 
     def dot(self, other: "SeqVector") -> float:
         """Inner product in closed form (geometric series for the tails)."""
-        idx = set(self.overrides) | set(other.overrides)
-        terms = [
-            self.coord(i) * other.coord(i)
-            - _tail_value(self.tail, i) * _tail_value(other.tail, i)
-            for i in idx
-        ]
-        total = math.fsum(terms)
+        idx = list({*self.overrides, *other.overrides})
+        tx, ty = _tail_values(self.tail, idx), _tail_values(other.tail, idx)
+        xs, ys = map(self.overrides.get, idx, tx), map(other.overrides.get, idx, ty)
+        total = math.fsum([a * b - c * d for a, b, c, d in zip(xs, ys, tx, ty)])
         if self.tail is not None and other.tail is not None:
             s0 = max(self.tail.start, other.tail.start)
             head = self.tail.value_at(s0) * other.tail.value_at(s0)
@@ -223,7 +235,8 @@ def distance(x: SeqVector, y: SeqVector) -> float:
     for _, t in tails:  # from |coeff|·ρ^n < 2^-1080 on, its coordinates are 0.0 in float64
         reach = math.ceil((math.log(abs(t.coeff)) + 1080 * math.log(2.0)) / -math.log(t.ratio))
         idx.update(range(t.start, min(last, t.start + reach) + 1))
-    diffs = [x.coord(i) - y.coord(i) for i in idx]
+    idx = list(idx)
+    diffs = list(filter(None, map(operator.sub, x.coords(idx), y.coords(idx))))  # 0s add nothing
     heads = [(s * t.value_at(last + 1), t.ratio) for s, t in tails]
     top = max(map(abs, [*diffs, *(h for h, _ in heads)]), default=0.0)
     if top == 0.0:
@@ -386,6 +399,8 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
         while x.tail.norm_from(m + 1) >= dip:
             m += 1
     tail = range(x.tail.start, m + 1) if x.tail else ()  # before it, only overrides are nonzero
-    coords = {i: v for i in {*x.overrides, *tail} if (v := x.coord(i)) != 0.0}
+    idx = list({*x.overrides, *tail})
+    values = x.coords(idx)
+    coords = dict(compress(zip(idx, values), values))  # the nonzero ones
     coords[m + 1] = -dip
     return SeqVector(coords, None)

@@ -160,6 +160,23 @@ def test_exterior_derivative_matches_central_difference():
         assert np.linalg.norm(fd - deriv.apply(w)) <= 1e-6
 
 
+@pytest.mark.parametrize("k", [8, 500, 900])
+def test_exterior_derivative_is_exact_under_power_of_two_scaling(k):
+    # the projection's derivative is homogeneous of degree 0, and scaling by 2^k
+    # is exact: the action and the scale r/‖x − c‖ keep their bits, also where
+    # ‖x − c‖² overflows (k = 900); below unit scale the sphere band's absolute
+    # floor, not the derivative, decides the region
+    rng = np.random.default_rng(9)
+    center, x = rng.normal(size=3), 3.0 * unit(rng, 3)
+    w = rng.normal(size=(4, 3))
+    base = ball_frechet_derivative(Ball(center=center, radius=0.5), x)
+    scaled = ball_frechet_derivative(Ball(center=np.ldexp(center, k), radius=np.ldexp(0.5, k)), np.ldexp(x, k))
+    assert scaled.kind is BallDerivKind.EXTERIOR
+    assert np.array_equal(scaled.anchor, np.ldexp(base.anchor, k))
+    assert scaled.scale == base.scale
+    assert np.array_equal(scaled.apply(w), base.apply(w))
+
+
 def test_not_frechet_marker_refuses_linear_queries():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     marker = ball_frechet_derivative(ball, [1.0, 0.0])
@@ -228,12 +245,12 @@ def reference_projection(ball, x):
     return x if dist <= ball.radius else ball.center + (ball.radius / dist) * d
 
 
-def reference_apply(deriv, w):
+def reference_apply(ball, deriv, w):
     if deriv.kind is BallDerivKind.IDENTITY:
         return w
     a = deriv.anchor
     na2 = float(np.dot(a, a))
-    return (deriv.radius / np.sqrt(na2)) * (w - (float(np.dot(w, a)) / na2) * a)
+    return (ball.radius / np.sqrt(na2)) * (w - (float(np.dot(w, a)) / na2) * a)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 1000])
@@ -263,7 +280,7 @@ def test_stacked_derivative_matches_row_by_row(n):
         assert applied.shape == stack.shape
         for row, got in zip(stack, applied):
             assert np.array_equal(got, deriv.apply(row))
-            assert np.array_equal(got, reference_apply(deriv, row))
+            assert np.array_equal(got, reference_apply(ball, deriv, row))
 
 
 def test_one_point_error_messages():

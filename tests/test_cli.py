@@ -7,7 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from projderiv.cli import main
+import numpy as np
+
+from projderiv import GeometricTail, SeqVector
+from projderiv.cli import fmt_seq, fmt_vec, main
 
 VERDICT_RE = re.compile(r"^VERDICT [a-z_]+ (pass|fail) \S+ \S+$")
 
@@ -92,6 +95,16 @@ def test_derive_ball_exterior(tmp_path, capsys):
     assert "anchor = [2, 0]" in out
     assert "scale = 0.5" in out
     assert "apply(w) = [0, 1.5]" in out
+
+
+def test_derive_ball_exterior_at_extreme_scale(tmp_path, capsys):
+    # ‖x − c‖² ≈ 2.9e488 overflowed: the report said scale = 0 and apply(w) = [0, 0]
+    job = ball_job("derive", [0, 1.7e244], 1, inputs={"x": [0, 0], "w": [1, 0]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    scale = next(line for line in out.splitlines() if line.startswith("scale = "))[len("scale = "):]
+    assert float(scale) == pytest.approx(1.0 / 1.7e244, rel=1e-15)
+    assert f"apply(w) = [{scale}, 0]" in out
 
 
 def test_derive_ball_sphere_reports_nonexistence(tmp_path, capsys):
@@ -535,6 +548,48 @@ def test_any_numbers_in_a_job_give_an_exit_code_not_a_traceback(tmp_path, capsys
     code, _, err = run(tmp_path, capsys, job)
     assert code in (0, 1, 2), job
     assert (code == 2) == err.startswith("error: "), (job, err)
+
+
+# ------------------------------------------------------------- formatters
+
+
+AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 2.0**-1022, 2.0**1023]
+floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(AWKWARD))
+ratios = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def per_number(v) -> str:
+    return format(float(v), ".17g")  # the formatter before numbers were formatted in bulk
+
+
+def fmt_seq_per_number(s) -> str:
+    rec = s.to_record()
+    pairs = ", ".join(f"[{i}, {per_number(v)}]" for i, v in rec["overrides"])
+    tail = rec["tail"]
+    if tail["kind"] == "zero":
+        return '{"overrides": [%s], "tail": {"kind": "zero"}}' % pairs
+    return '{"overrides": [%s], "tail": {"kind": "geometric", "a": %s, "rho": %s, "start": %d}}' % (
+        pairs, per_number(tail["a"]), per_number(tail["rho"]), tail["start"]
+    )
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.lists(floats | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=30))
+def test_fmt_vec_matches_the_per_number_formatter(values):
+    want = "[" + ", ".join(per_number(v) for v in values) + "]"
+    assert fmt_vec(np.array(values)) == want
+    assert fmt_vec(tuple(values)) == want
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.dictionaries(st.integers(1, 2**70), floats, max_size=30),
+    st.none() | st.builds(GeometricTail, floats, ratios, st.integers(1, 2**70)),
+)
+def test_fmt_seq_matches_the_per_number_formatter(overrides, tail):
+    s = SeqVector(overrides, tail)
+    assert fmt_seq(s) == fmt_seq_per_number(s)
+    assert json.loads(fmt_seq(s)) == json.loads(json.dumps(s.to_record()))
 
 
 # --------------------------------------------------------- report contract

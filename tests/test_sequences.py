@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projderiv import (
@@ -317,6 +318,97 @@ def test_tail_value_keeps_a_large_coefficient_where_the_power_underflows():
     assert geo(1e300, 0.5, 1).value_at(2000) == float(Fraction(1e300) / 2**1999)
     exact = Fraction(1e300) * Fraction(0.3) ** 700  # 0.3**700 is subnormal
     assert geo(1e300, 0.3, 1).value_at(701) == pytest.approx(float(exact), rel=4e-16)
+
+
+def value_at_one_by_one(tail, i):
+    """A tail value computed one index at a time, as before values were taken in bulk."""
+    if i < tail.start:
+        return 0.0
+    try:
+        power = tail.ratio ** (i - tail.start)
+    except OverflowError:  # an exponent beyond the float range: ratio < 1 underflows
+        return 0.0
+    if power >= sys.float_info.min:
+        return tail.coeff * power
+    n = i - tail.start  # the power is subnormal or 0: apply a large coefficient halfway down
+    return tail.coeff * tail.ratio ** (n // 2) * tail.ratio ** (n - n // 2)
+
+
+def bits(values):
+    return [float(v).hex() for v in values]  # tells -0.0 from 0.0
+
+
+EXP_LIMIT = 2**1024 - 2**970  # the least int whose conversion to float overflows
+
+tail_coeffs = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False), st.sampled_from([1e300, -1e300, 5e-324, -1.0])
+)
+tail_ratios = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.5, 0.999, 1.0 - 2.0**-53, 5e-324]),
+)
+tail_offsets = st.one_of(
+    st.integers(-3, 4000),  # before the start, and powers that go subnormal or to 0
+    st.integers(2**53 - 3, 2**53 + 3),
+    st.integers(2**64 - 3, 2**64 + 3),
+    st.integers(EXP_LIMIT - 3, EXP_LIMIT + 3),  # where ratio ** n starts to raise
+    st.just(10**400),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(coeff=tail_coeffs, ratio=tail_ratios, start=st.integers(1, 40), offsets=st.lists(tail_offsets))
+@example(1e300, 0.5, 1, [1074, 1999, 2**64, EXP_LIMIT - 1, EXP_LIMIT])
+@example(-1e300, 0.3, 7, [0, 700, 2**53 + 1, EXP_LIMIT - 1, EXP_LIMIT, 10**400])
+def test_bulk_tail_values_equal_the_one_by_one_values_bit_for_bit(coeff, ratio, start, offsets):
+    tail = geo(coeff, ratio, start)
+    idx = [max(1, start + k) for k in offsets]
+    want = bits(value_at_one_by_one(tail, i) for i in idx)
+    assert bits(tail.values(idx)) == want
+    assert bits(map(tail.value_at, idx)) == want
+
+
+@st.composite
+def overrides_over_a_tail(draw):
+    tail = geo(draw(tail_coeffs), draw(tail_ratios), draw(st.integers(1, 40)))
+    overrides = {}
+    for k in draw(st.lists(tail_offsets, max_size=12)):
+        i = max(1, tail.start + k)
+        kind = draw(st.sampled_from(["tail", "zero", "negative zero", "float"]))
+        if kind == "tail":
+            overrides[i] = value_at_one_by_one(tail, i)
+        elif kind == "float":
+            overrides[i] = draw(st.floats(allow_nan=False, allow_infinity=False))
+        else:
+            overrides[i] = 0.0 if kind == "zero" else -0.0
+    return overrides, draw(st.sampled_from([tail, None]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(overrides_over_a_tail(), st.lists(tail_offsets, max_size=8))
+def test_bulk_constructor_and_coords_match_the_one_by_one_loop(case, extra):
+    overrides, tail = case
+    x = SeqVector(overrides, tail)
+    underneath = lambda i: 0.0 if x.tail is None else value_at_one_by_one(x.tail, i)
+    kept = {i: float(v) for i, v in sorted(overrides.items()) if float(v) != underneath(i)}
+    assert list(x.overrides) == list(kept) and bits(x.overrides.values()) == bits(kept.values())
+    idx = sorted({*overrides, *(max(1, k) for k in extra)})
+    assert bits(x.coords(idx)) == bits(kept.get(i, underneath(i)) for i in idx)
+    assert bits(map(x.coord, idx)) == bits(x.coords(idx))
+
+
+@pytest.mark.parametrize("index", [True, False, 0, -3, 1.0, "2", None, np.int64(2)])
+def test_constructor_refuses_indices_that_are_not_positive_ints(index):
+    with pytest.raises(ValueError, match=r"^coordinate indices must be positive integers$"):
+        SeqVector({5: 1.0, index: 2.0}, geo(1.0))
+    with pytest.raises(ValueError, match=r"^coordinate indices must be positive integers$"):
+        SeqVector({index: 2.0}, None)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan")])
+def test_constructor_refuses_values_that_are_not_finite(value):
+    with pytest.raises(ValueError, match=r"^coordinate values must be finite$"):
+        SeqVector({5: 1.0, 2: value}, geo(1.0))
 
 
 # ------------------------------------------------------------ classification
