@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .vectors import Vector, as_points, as_vector, _same_dim
+from .vectors import Vector, as_points, as_vector, _same_dim, _scaled
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,6 @@ class BallRegionTag(Enum):
 class BallRegion:
     tag: BallRegionTag
     signed_gap: float  # ‖x - center‖ - radius
-
-
-def _scaled(d: Vector) -> tuple[Vector, int]:
-    """(d / 2^k, k) with 2^k just above max |d_i|: exact, and the squares of
-    d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
-    k = math.frexp(float(np.max(np.abs(d))))[1]
-    return np.ldexp(d, -k), k
 
 
 def sphere_tolerance(radius: float) -> float:
@@ -164,8 +157,9 @@ def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:
     if region.tag is not BallRegionTag.SPHERE:
         raise ValueError("base point must lie on the sphere")
     _same_dim(x, w)
-    a = x - ball.center
+    a, k = _scaled(x - ball.center)  # r² under- or overflows at radii beyond about 1e±154
+    r = math.ldexp(ball.radius, -k)
     s = float(np.dot(a, w))
     if s >= 0.0:
-        return w - (s / ball.radius**2) * a
+        return w - (s / (r * r)) * a
     return w

@@ -34,7 +34,6 @@ from .orthant import (
     cone_gateaux,
     cone_refute_frechet,
     classify_cone,
-    guarded_fd_step,
     project_cone,
     sign_partition,
 )
@@ -50,6 +49,7 @@ from .sequences import (
 )
 from .vectors import parse_numbers
 from .verify import (
+    FD_STEP,
     OracleConvergenceError,
     qp_projection_oracle,
     refutation_threshold,
@@ -60,7 +60,6 @@ from .verify import (
 SET_KINDS = ("ball", "cone_rn", "cone_l2")
 INPUT_KEYS = ("x", "w", "d", "n", "epsilon")
 OPTION_KEYS = ("seed", "steps", "radii", "samples_per_radius")
-DEFAULT_STEPS = (1e-3, 1e-4, 1e-5)
 
 
 class JobError(Exception):
@@ -76,7 +75,7 @@ def fmt_vec(v) -> str:
 
 
 def fmt_seq(s: SeqVector) -> str:
-    """The record form of s (see ``SeqVector.to_record``) as one line of JSON."""
+    """s as one line of JSON, in the record form that ``SeqVector.from_record`` reads."""
     pairs = ", ".join(["[%d, %.17g]" % p for p in s.overrides.items()])
     t = s.tail
     if t is None:
@@ -267,8 +266,8 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
     elif job.set_kind == "cone_rn":
         lines.append(f"region = {classify_cone(x).value}")
         part = sign_partition(x)
-        for name, indices in (("plus", part.plus), ("minus", part.minus), ("zero", part.zero)):
-            lines.append(f"{name} = {sorted(indices)}")
+        for name, mask in (("plus", part.plus), ("minus", part.minus), ("zero", part.zero)):
+            lines.append(f"{name} = {np.flatnonzero(mask).tolist()}")
     else:
         lines.append(f"region = {classify_l2(x).value}")
 
@@ -351,7 +350,7 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         if not deriv.is_linear:
             raise JobError("x lies on the sphere, where no derivative exists; use refute")
         region_gap = abs(classify_ball(job.ball, x).signed_gap)
-        h = min(1e-5 * (1.0 + float(np.linalg.norm(x))), region_gap / 4.0)
+        h = min(FD_STEP * (1.0 + float(np.linalg.norm(x))), region_gap / 4.0)
         fd_tol_is_relative = True
     else:
         f = project_cone
@@ -360,8 +359,8 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         deriv = cone_frechet_derivative(x)
         if not deriv.is_linear:
             raise JobError("x has a zero coordinate, where no derivative exists; use refute")
-        region_gap = float(np.min(np.abs(x[x != 0.0]))) if np.any(x != 0.0) else 0.0
-        h = guarded_fd_step(x)
+        region_gap = float(np.min(np.abs(x)))  # no zero coordinate here
+        h = min(FD_STEP, region_gap / 16.0)
         fd_tol_is_relative = False
 
     err = float(np.linalg.norm(projected - oracle))
@@ -393,14 +392,14 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
 
 def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     x = _need(job, "x")
-    steps = job.options.get("steps", DEFAULT_STEPS)
+    step = min(job.options.get("steps", (FD_STEP,)))  # only the smallest step is used
     if job.set_kind == "cone_l2":
         raise JobError("refute applies to ball and cone_rn; for cone_l2 use witness")
     d = job.inputs.get("d")
     cone_axis = job.set_kind == "cone_rn" and d is None
     if cone_axis:
         try:
-            cert = cone_refute_frechet(x, steps)
+            cert = cone_refute_frechet(x, step)
         except ValueError as e:
             raise JobError(f"{e}; supply input d for a custom probe") from e
     else:
@@ -412,12 +411,12 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
                 raise JobError("refutation direction is zero; supply input d")
         else:
             f = project_cone
-        cert = refute_linearity(f, x, d, steps)
+        cert = refute_linearity(f, x, d, step)
     lines.append(f"direction = {fmt_vec(cert.direction)}")
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
         lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
-    threshold = refutation_threshold(x, cert.direction, steps)
+    threshold = refutation_threshold(x, cert.direction, step)
     lines.append(f"gap = {fmt_num(cert.gap)}")
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
 from .vectors import Vector, as_points, as_vector, _same_dim
-from .verify import Refutation, refute_linearity
+from .verify import FD_STEP, Refutation, refute_linearity
 
 
 def zero_tolerance(x) -> float:
@@ -28,27 +26,22 @@ def zero_tolerance(x) -> float:
     return 1e-12 * (1.0 + float(np.max(np.abs(x))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignPartition:
-    """Disjoint index sets (0-based) by coordinate sign, zero-band aware."""
+    """Disjoint read-only boolean masks of the coordinates by sign, zero-band aware."""
 
-    plus: frozenset[int]
-    minus: frozenset[int]
-    zero: frozenset[int]
-    n: int
-
-
-def _indices(mask: np.ndarray) -> frozenset[int]:
-    return frozenset(np.flatnonzero(mask).tolist())
+    plus: np.ndarray
+    minus: np.ndarray
+    zero: np.ndarray
 
 
 def sign_partition(x) -> SignPartition:
     x = as_vector(x)
     zero = np.abs(x) <= zero_tolerance(x)
     plus = ~zero & (x > 0.0)
-    return SignPartition(
-        plus=_indices(plus), minus=_indices(~(zero | plus)), zero=_indices(zero), n=x.size
-    )
+    minus = ~(zero | plus)
+    plus.flags.writeable = minus.flags.writeable = zero.flags.writeable = False
+    return SignPartition(plus=plus, minus=minus, zero=zero)
 
 
 class ConeRegion(Enum):
@@ -63,11 +56,11 @@ def classify_cone(x) -> ConeRegion:
 
 
 def _region_of(partition: SignPartition) -> ConeRegion:
-    if partition.zero:
+    if partition.zero.any():
         return ConeRegion.HAS_ZERO
-    if not partition.minus:
+    if not partition.minus.any():
         return ConeRegion.INTERIOR
-    if not partition.plus:
+    if not partition.plus.any():
         return ConeRegion.NEGATIVE_INTERIOR
     return ConeRegion.MIXED_SIGNS
 
@@ -98,15 +91,6 @@ class ConeDeriv:
     kind: ConeDerivKind
     partition: SignPartition
 
-    @cached_property
-    def _masks(self) -> np.ndarray:
-        """0/1 indicators of the plus and zero index sets, built on first use."""
-        masks = np.zeros((2, self.partition.n))
-        for row, indices in zip(masks, (self.partition.plus, self.partition.zero)):
-            row[np.fromiter(indices, dtype=np.intp, count=len(indices))] = 1.0
-        masks.flags.writeable = False
-        return masks
-
     @property
     def is_linear(self) -> bool:
         return self.kind is not ConeDerivKind.DIRECTIONAL_ONLY
@@ -114,13 +98,13 @@ class ConeDeriv:
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
         w = as_points(w)
-        if w.shape[-1] != self.partition.n:
-            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.partition.n}")
+        plus, zero = self.partition.plus, self.partition.zero
+        if w.shape[-1] != plus.size:
+            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {plus.size}")
         if self.kind is ConeDerivKind.IDENTITY:
             return w
         if self.kind is ConeDerivKind.ZERO:
             return np.zeros_like(w)
-        plus, zero = self._masks
         if self.kind is ConeDerivKind.MASK:
             return w * plus
         return w * plus + np.maximum(w, 0.0) * zero
@@ -149,17 +133,7 @@ def cone_gateaux(x, w) -> Vector:
     return cone_frechet_derivative(x).apply(w)
 
 
-def guarded_fd_step(x) -> float:
-    """Difference step, at most 1e-5, small enough to keep every nonzero coordinate's sign."""
-    x = as_vector(x)
-    nonzero = np.abs(x[x != 0.0])
-    if nonzero.size == 0:
-        return 1e-5
-    guard = float(nonzero.min()) / 4.0
-    return min(1e-5, guard / 4.0)
-
-
-def cone_refute_frechet(x, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> Refutation:
+def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:
     """Refute Fréchet differentiability at a point with a zero coordinate.
 
     Probes along the coordinate axis of the smallest zero index: the clamp
@@ -168,8 +142,8 @@ def cone_refute_frechet(x, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> Refut
     """
     x = as_vector(x)
     partition = sign_partition(x)
-    if not partition.zero:
+    if not partition.zero.any():
         raise ValueError("refutation needs a zero coordinate in the sign partition")
     direction = np.zeros(x.size)
-    direction[min(partition.zero)] = 1.0
-    return refute_linearity(project_cone, x, direction, steps)
+    direction[np.argmax(partition.zero)] = 1.0
+    return refute_linearity(project_cone, x, direction, step)

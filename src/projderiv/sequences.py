@@ -168,22 +168,6 @@ class SeqVector:
             total += head / ((1.0 - rx) + rx * (1.0 - ry))
         return total
 
-    def to_record(self) -> dict:
-        """Plain-data form: {overrides: [[index, value]...], tail: {...}}."""
-        if self.tail is None:
-            tail = {"kind": "zero"}
-        else:
-            tail = {
-                "kind": "geometric",
-                "a": self.tail.coeff,
-                "rho": self.tail.ratio,
-                "start": self.tail.start,
-            }
-        return {
-            "overrides": [[i, v] for i, v in sorted(self.overrides.items())],
-            "tail": tail,
-        }
-
     @classmethod
     def from_record(cls, record) -> "SeqVector":
         if not isinstance(record, dict) or set(record) != {"overrides", "tail"}:

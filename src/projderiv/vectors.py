@@ -42,6 +42,13 @@ def parse_numbers(values: list, what: str) -> list[float]:
     return floats
 
 
+def _scaled(d: Vector) -> tuple[Vector, int]:
+    """(d / 2^k, k) with 2^k just above max |d_i|: exact, and the squares of
+    d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
+    k = math.frexp(float(np.max(np.abs(d))))[1]
+    return np.ldexp(d, -k), k
+
+
 def _same_dim(x: Vector, y: Vector) -> None:
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")

@@ -2,7 +2,7 @@
 
 Three independent instruments:
 
-* forward-difference directional derivatives (:func:`fd_directional`),
+* forward-difference directional derivatives at one step (:func:`fd_directional`),
 * residual scans over shrinking neighborhoods that certify strict-Fréchet
   behavior by residual decay (:func:`strict_residual_scan`),
 * a projected-gradient solver for the nearest-point problem
@@ -24,9 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .balls import Ball
-from .vectors import Vector, as_vector, _same_dim
+from .vectors import Vector, as_vector, _same_dim, _scaled
 
 _EPS = float(np.finfo(np.float64).eps)
+# Forward-difference step of every refutation, and the cap on verify's fd_match step
+FD_STEP = 1e-5
 # Coordinates per (pairs, n) stack of the residual scan, whatever samples_per_radius is
 _CHUNK_COORDS = 2**16
 # Projected-gradient oracle: iteration budget, step-change tolerance, step η in (0, 1)
@@ -35,41 +37,14 @@ _ORACLE_TOL = 1e-10
 _ORACLE_STEP = 0.5
 
 
-@dataclass(frozen=True)
-class FDEstimate:
-    """Forward-difference directional derivative estimates.
-
-    ``value`` is the quotient at the smallest step.  When a claimed
-    derivative value is supplied, ``errors_vs_claim[i]`` is the distance of
-    the i-th quotient from the claim.
-    """
-
-    value: Vector
-    steps: tuple[float, ...]
-    quotients: tuple[Vector, ...]
-    errors_vs_claim: tuple[float, ...] | None = None
-
-
-def fd_directional(
-    f: Callable[[Vector], Vector],
-    x,
-    w,
-    steps: Sequence[float] = (1e-3, 1e-4, 1e-5),
-    claim=None,
-) -> FDEstimate:
-    """One-sided difference quotients (f(x + t w) - f(x)) / t for each step t."""
+def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -> Vector:
+    """One-sided difference quotient (f(x + t w) - f(x)) / t at step t."""
     x, w = as_vector(x), as_vector(w)
-    steps = tuple(float(t) for t in steps)
-    if not steps or any(t <= 0.0 or not np.isfinite(t) for t in steps):
-        raise ValueError("steps must be positive and finite")
+    t = float(step)
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError("step must be positive and finite")
     fx = np.asarray(f(x), dtype=np.float64)
-    quotients = tuple((np.asarray(f(x + t * w), dtype=np.float64) - fx) / t for t in steps)
-    value = quotients[steps.index(min(steps))]
-    errors = None
-    if claim is not None:
-        claim = as_vector(claim)
-        errors = tuple(float(np.linalg.norm(q - claim)) for q in quotients)
-    return FDEstimate(value=value, steps=steps, quotients=quotients, errors_vs_claim=errors)
+    return (np.asarray(f(x + t * w), dtype=np.float64) - fx) / t
 
 
 @dataclass(frozen=True)
@@ -162,35 +137,31 @@ class Refutation:
     gap: float
 
 
-def refute_linearity(
-    f: Callable[[Vector], Vector],
-    x,
-    d,
-    steps: Sequence[float] = (1e-3, 1e-4, 1e-5),
-) -> Refutation:
+def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP) -> Refutation:
     """Probe f at x from both sides of d with forward differences.
 
     Any linear derivative candidate makes the gap zero; a gap certifies that
     no Fréchet derivative exists.
     """
     d = as_vector(d)
-    forward = fd_directional(f, x, d, steps).value
-    backward = -fd_directional(f, x, -d, steps).value
+    forward = fd_directional(f, x, d, step)
+    backward = -fd_directional(f, x, -d, step)
     gap = float(np.linalg.norm(forward - backward))
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
 
 
-def refutation_threshold(x, d, steps: Sequence[float] = (1e-3, 1e-4, 1e-5)) -> float:
+def refutation_threshold(x, d, step: float = FD_STEP) -> float:
     """Gap size above which refute_linearity counts as a refutation.
 
-    100x a conservative forward-difference error budget at the smallest
-    step: curvature (O(t ‖d‖²)) plus roundoff (O(eps (1 + ‖x‖ + ‖d‖) / t)).
+    100x a conservative forward-difference error budget at step t:
+    curvature (O(t ‖d‖²)) plus roundoff (O(eps (1 + ‖x‖ + ‖d‖) / t)).  Both
+    norms are taken over power-of-two-scaled coordinates, so neither
+    overflows below the float range.
     """
     x, d = as_vector(x), as_vector(d)
-    t = min(float(s) for s in steps)
-    nd = float(np.linalg.norm(d))
-    nx = float(np.linalg.norm(x))
-    return 100.0 * (t * nd**2 + _EPS * (1.0 + nx + nd) / t)
+    nx, nd = (math.ldexp(math.sqrt(float(np.dot(s, s))), k) for s, k in map(_scaled, (x, d)))
+    t = float(step)
+    return 100.0 * (t * (nd * nd) + _EPS * (1.0 + nx + nd) / t)
 
 
 class OracleConvergenceError(RuntimeError):

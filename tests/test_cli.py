@@ -154,6 +154,16 @@ def test_gateaux_ball_direction_classes(tmp_path, capsys):
     assert "result = [-1, -0]" in out or "result = [-1, 0]" in out
 
 
+@pytest.mark.parametrize("r", [1e200, 1e-200])
+def test_gateaux_ball_sphere_at_extreme_radii(tmp_path, capsys, r):
+    # r² overflowed at 1e200 (exit 2, "Numerical result out of range") and
+    # underflowed to 0 at 1e-200 (exit 2, "float division by zero")
+    job = ball_job("gateaux", [0, 0], r, inputs={"x": [r, 0], "w": [1, 1]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == ["direction_class = outward_or_tangent", "result = [0, 1]"]
+
+
 # ----------------------------------------------------------------- verify
 
 
@@ -231,6 +241,31 @@ def test_refute_orthant_certificate(tmp_path, capsys):
     gap_line = next(l for l in out.splitlines() if l.startswith("gap = "))
     assert math.isclose(float(gap_line.split(" = ")[1]), 1.0, abs_tol=1e-6)
     assert "VERDICT not_frechet pass" in out
+
+
+def test_refute_orthant_threshold_at_scale_1e200(tmp_path, capsys):
+    # ‖x‖² overflowed: the threshold read inf, with a RuntimeWarning on stderr
+    job = {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1e200, 0]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "VERDICT not_frechet fail 1 2.2204460492503129e+191"
+
+
+@pytest.mark.parametrize(
+    "job",
+    [
+        ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8]}),  # sphere point, radial probe
+        {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 0, -2]}},  # zero axis
+        {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 0, -2], "d": [0.6, 0.8, 0]}},
+    ],
+)
+def test_refute_reads_only_the_smallest_step(tmp_path, capsys, job):
+    reports = []
+    for options in ({"steps": [1e-3, 1e-4, 1e-5]}, {"steps": [1e-5]}, {}):
+        code, out, err = run(tmp_path, capsys, {**job, "options": options})
+        assert err == ""
+        reports.append((code, [line for line in out.splitlines() if not line.startswith("option steps = ")]))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_refute_orthant_without_zero_needs_direction(tmp_path, capsys):
@@ -563,13 +598,12 @@ def per_number(v) -> str:
 
 
 def fmt_seq_per_number(s) -> str:
-    rec = s.to_record()
-    pairs = ", ".join(f"[{i}, {per_number(v)}]" for i, v in rec["overrides"])
-    tail = rec["tail"]
-    if tail["kind"] == "zero":
+    pairs = ", ".join(f"[{i}, {per_number(v)}]" for i, v in sorted(s.overrides.items()))
+    tail = s.tail
+    if tail is None:
         return '{"overrides": [%s], "tail": {"kind": "zero"}}' % pairs
     return '{"overrides": [%s], "tail": {"kind": "geometric", "a": %s, "rho": %s, "start": %d}}' % (
-        pairs, per_number(tail["a"]), per_number(tail["rho"]), tail["start"]
+        pairs, per_number(tail.coeff), per_number(tail.ratio), tail.start
     )
 
 
@@ -589,7 +623,7 @@ def test_fmt_vec_matches_the_per_number_formatter(values):
 def test_fmt_seq_matches_the_per_number_formatter(overrides, tail):
     s = SeqVector(overrides, tail)
     assert fmt_seq(s) == fmt_seq_per_number(s)
-    assert json.loads(fmt_seq(s)) == json.loads(json.dumps(s.to_record()))
+    assert SeqVector.from_record(json.loads(fmt_seq(s))) == s
 
 
 # --------------------------------------------------------- report contract

@@ -1,0 +1,35 @@
+"""The README's library quick start runs as written and its comments hold."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_values() -> list:
+    """Run the quick-start block statement by statement; the value of each bare expression, in order."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    return values
+
+
+def test_quick_start_comments_hold():
+    projected, applied, jacobian, outward, gap, limits, residuals = quick_start_values()
+    assert np.array_equal(projected, [1.0, 0.0])
+    assert np.array_equal(applied, [0.0, 1.5])
+    # P'(x) at x = [2, 0] on the unit ball: the radial part dies, the tangent halves
+    assert np.array_equal(jacobian, [[0.0, 0.0], [0.0, 0.5]])
+    assert np.array_equal(outward, [0.0, 0.0])
+    assert gap == 1.0
+    forward, backward = limits
+    assert np.array_equal(forward, [0.0, 1.0, 0.0])
+    assert np.array_equal(backward, [0.0, 0.0, 0.0])
+    assert residuals == (0.5, 2.0 / 3.0)
