@@ -49,8 +49,9 @@ class BallRegion:
 
 
 def sphere_tolerance(radius: float) -> float:
-    """Width of the band around the sphere that classifies as on-sphere."""
-    return 1e-12 * (1.0 + radius)
+    """Width of the band around the sphere that classifies as on-sphere (relative, so
+    2^k times a ball and a point classify alike)."""
+    return 1e-12 * radius
 
 
 def classify_ball(ball: Ball, x) -> BallRegion:

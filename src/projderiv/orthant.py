@@ -20,15 +20,9 @@ from .vectors import Vector, as_points, as_vector, _same_dim
 from .verify import FD_STEP, Refutation, refute_linearity
 
 
-def zero_tolerance(x) -> float:
-    """Half-width of the band around 0 treated as a zero coordinate."""
-    x = as_vector(x)
-    return 1e-12 * (1.0 + float(np.max(np.abs(x))))
-
-
 @dataclass(frozen=True, eq=False)
 class SignPartition:
-    """Disjoint read-only boolean masks of the coordinates by sign, zero-band aware."""
+    """Disjoint read-only boolean masks of the coordinates by exact sign."""
 
     plus: np.ndarray
     minus: np.ndarray
@@ -37,9 +31,8 @@ class SignPartition:
 
 def sign_partition(x) -> SignPartition:
     x = as_vector(x)
-    zero = np.abs(x) <= zero_tolerance(x)
-    plus = ~zero & (x > 0.0)
-    minus = ~(zero | plus)
+    plus, minus = x > 0.0, x < 0.0
+    zero = ~(plus | minus)
     plus.flags.writeable = minus.flags.writeable = zero.flags.writeable = False
     return SignPartition(plus=plus, minus=minus, zero=zero)
 

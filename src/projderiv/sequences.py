@@ -243,8 +243,8 @@ class L2Region(Enum):
 def classify_l2(x: SeqVector) -> L2Region:
     """Sign-pattern region of the full (infinite) coordinate sequence.
 
-    Sign tests are exact: unlike the finite-dimensional classifier there is
-    no zero band, because the representation stores signs exactly.
+    Sign tests are exact, as in the finite-dimensional classifier: the
+    representation stores every coordinate's sign exactly.
     """
     t = x.tail
     if t is None:

@@ -160,12 +160,12 @@ def test_exterior_derivative_matches_central_difference():
         assert np.linalg.norm(fd - deriv.apply(w)) <= 1e-6
 
 
-@pytest.mark.parametrize("k", [8, 500, 900])
+@pytest.mark.parametrize("k", [-900, -500, -8, 8, 500, 900])
 def test_exterior_derivative_is_exact_under_power_of_two_scaling(k):
     # the projection's derivative is homogeneous of degree 0, and scaling by 2^k
     # is exact: the action and the scale r/‖x − c‖ keep their bits, also where
-    # ‖x − c‖² overflows (k = 900); below unit scale the sphere band's absolute
-    # floor, not the derivative, decides the region
+    # ‖x − c‖² overflows (k = 900) or underflows (k = -900); the sphere band is
+    # relative to the radius, so the region is exterior at every k
     rng = np.random.default_rng(9)
     center, x = rng.normal(size=3), 3.0 * unit(rng, 3)
     w = rng.normal(size=(4, 3))

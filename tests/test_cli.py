@@ -251,6 +251,14 @@ def test_refute_orthant_threshold_at_scale_1e200(tmp_path, capsys):
     assert out.splitlines()[-1] == "VERDICT not_frechet fail 1 2.2204460492503129e+191"
 
 
+def test_refute_orthant_threshold_beyond_the_float_range_saturates(tmp_path, capsys):
+    # ‖x‖ is beyond the float range: the threshold raised "math range error" (exit 2)
+    job = {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1.5e308, 1.5e308, 0]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == "VERDICT not_frechet fail 1 inf"
+
+
 @pytest.mark.parametrize(
     "job",
     [

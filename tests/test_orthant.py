@@ -10,7 +10,6 @@ from projderiv import (
     cone_refute_frechet,
     project_cone,
     sign_partition,
-    zero_tolerance,
 )
 from projderiv.verify import FD_STEP
 
@@ -49,9 +48,8 @@ def test_sign_partition_and_mask_match_coordinate_loop():
         x = rng.normal(size=rng.integers(1, 17)) * 10.0 ** rng.integers(-3, 4)
         x[rng.random(x.size) < 0.2] = 0.0
         x[rng.random(x.size) < 0.1] = 1e-15
-        tol = zero_tolerance(x)
-        zero = {i for i, v in enumerate(x) if abs(v) <= tol}
-        plus = {i for i, v in enumerate(x) if i not in zero and v > 0.0}
+        zero = {i for i, v in enumerate(x) if v == 0.0}
+        plus = {i for i, v in enumerate(x) if v > 0.0}
         part = sign_partition(x)
         assert np.array_equal(part.plus, [i in plus for i in range(x.size)])
         assert np.array_equal(part.zero, [i in zero for i in range(x.size)])
@@ -63,13 +61,16 @@ def test_sign_partition_and_mask_match_coordinate_loop():
         assert np.array_equal(cone_frechet_derivative(x).apply(w), want)
 
 
-def test_sign_partition_zero_band():
-    # a coordinate inside the zero band counts as zero, not as a sign
+def test_sign_partition_signs_are_exact():
+    # the clamp is the identity near any nonzero coordinate, however small
     part = sign_partition([1e-15, 1.0])
-    assert part.zero.tolist() == [True, False] and part.plus.tolist() == [False, True]
-    assert classify_cone([1e-15, 1.0]) is ConeRegion.HAS_ZERO
-    tol = zero_tolerance(np.array([1.0, 1.0]))
-    assert sign_partition([2.0 * tol, 1.0]).plus.tolist() == [True, True]
+    assert part.plus.tolist() == [True, True] and not part.zero.any()
+    assert classify_cone([1e-15, 1.0]) is ConeRegion.INTERIOR
+    assert classify_cone([1e15, 1e-3]) is ConeRegion.INTERIOR
+    assert classify_cone([1e-200, -1e-200]) is ConeRegion.MIXED_SIGNS
+    assert classify_cone([5e-324, 1.0]) is ConeRegion.INTERIOR
+    part = sign_partition([0.0, -0.0, -5e-324])
+    assert part.zero.tolist() == [True, True, False] and part.minus.tolist() == [False, False, True]
 
 
 def test_classify_regions():

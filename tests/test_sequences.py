@@ -438,7 +438,7 @@ def test_in_cone():
 
 
 def test_classify_matches_dense_classifier_on_truncations():
-    # ratios >= 0.7 keep coordinate 64 above the dense classifier's zero band
+    # ratios >= 0.7 keep coordinate 64 of the truncation a normal, nonzero float
     rng = np.random.default_rng(25)
     expected = {
         L2Region.ALL_POSITIVE: ConeRegion.INTERIOR,

@@ -9,18 +9,32 @@ from hypothesis import strategies as st
 from projderiv import verify
 from projderiv import (
     Ball,
-    OracleConvergenceError,
+    GeometricTail,
+    SeqVector,
     ball_frechet_derivative,
     cone_frechet_derivative,
     fd_directional,
     project_ball,
     project_cone,
+    project_cone_l2,
     qp_projection_oracle,
     refutation_threshold,
     refute_linearity,
     strict_residual_scan,
 )
 from projderiv.vectors import as_vector
+from projderiv.verify import CERTIFICATE_GATE
+
+
+def unit(rng, dim):
+    v = rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _seq(first, coeff):
+    """Coordinate 1 = first, then coeff * 0.5^(i - 2) from index 2."""
+    return SeqVector({1: first}, GeometricTail(coeff, 0.5, 2))
+
 
 # The scan one sample pair at a time, with np.linalg.norm and no power-of-two
 # scaling, from the same bulk stream: one normal and one uniform draw per chunk
@@ -186,9 +200,8 @@ def test_scan_refuses_a_radius_that_moves_no_pair():
 
 
 # |k| ≥ 600 reaches the points whose squared differences overflow or underflow,
-# so both ends are drawn as often as the middle.  The candidate comes from the
-# unscaled x: classify_cone's sign band is absolute, so it would misclassify
-# some scaled points.
+# so both ends are drawn as often as the middle.  Signs are exact, so the
+# scaled point has the candidate of the unscaled x.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     x=st.lists(st.floats(0.25, 4.0) | st.floats(-4.0, -0.25), min_size=1, max_size=4),
@@ -198,6 +211,7 @@ def test_scan_refuses_a_radius_that_moves_no_pair():
 )
 def test_scan_residuals_are_invariant_under_power_of_two_scaling(x, radii, k, seed):
     x = np.array(x)
+    assert cone_frechet_derivative(np.ldexp(x, k)).kind is cone_frechet_derivative(x).kind
     deriv = cone_frechet_derivative(x).apply
     unit = strict_residual_scan(project_cone, deriv, x, radii, 16, seed)
     scaled_radii = [math.ldexp(r, k) for r in radii]
@@ -241,32 +255,116 @@ def test_refute_linearity_on_kinked_and_smooth_maps():
     assert 0.0 < threshold < 0.01 < gap
 
 
-def test_oracle_matches_closed_forms():
+def test_certificate_is_exactly_zero_on_interior_orthant_and_cone_l2_inputs():
     rng = np.random.default_rng(17)
-    ball = Ball(center=[0.5, -1.0, 0.0], radius=1.25)
-    for _ in range(50):
-        x = rng.normal(scale=2.0, size=3)
-        assert np.linalg.norm(qp_projection_oracle(ball, x) - project_ball(ball, x)) <= 1e-9
-        assert np.linalg.norm(qp_projection_oracle("orthant", x) - project_cone(x)) <= 1e-9
+    for dim in (1, 2, 3, 16, 1000):
+        ball = Ball(center=rng.normal(size=dim), radius=2.0)
+        x = ball.center + rng.random() * unit(rng, dim)
+        assert qp_projection_oracle(ball, x, project_ball(ball, x)) == 0.0
+        x = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=dim)
+        assert qp_projection_oracle("orthant", x, project_cone(x)) == 0.0
+    for x in (_seq(-1.0, 0.5), _seq(2.0, -0.25), _seq(-3.0, 0.0)):
+        dense = x.truncate(64)
+        closed = project_cone_l2(x).truncate(64)
+        assert qp_projection_oracle("orthant", dense, closed) == 0.0
+    # a zero prints as 0, not -0
+    assert math.copysign(1.0, qp_projection_oracle("orthant", [-0.0], [0.0])) == 1.0
 
 
-def test_oracle_interior_point_is_fixed():
-    ball = Ball(center=[0.0, 0.0], radius=2.0)
-    assert np.array_equal(qp_projection_oracle(ball, [0.5, 0.5]), [0.5, 0.5])
-    assert np.array_equal(qp_projection_oracle("orthant", [0.5, 0.5]), [0.5, 0.5])
+def test_certificate_passes_exterior_projections_within_the_gate():
+    rng = np.random.default_rng(18)
+    worst = 0.0
+    for _ in range(200):
+        dim = int(rng.choice([1, 2, 3, 16, 1000]))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        ball = Ball(center=rng.normal(scale=scale, size=dim), radius=scale * rng.uniform(0.1, 3.0))
+        x = ball.center + ball.radius * rng.uniform(1.01, 5.0) * unit(rng, dim)
+        worst = max(worst, qp_projection_oracle(ball, x, project_ball(ball, x)))
+    assert 0.0 < worst <= CERTIFICATE_GATE
+    # a small ball far from a point: the residuals are measured as distances p
+    # must move, which stay near eps; ⟨x − p, p − c⟩ forms read ~1e-9 here
+    ball = Ball(center=[1e8, 0.0], radius=1.0)
+    x = np.array([0.0, 5e7])
+    assert qp_projection_oracle(ball, x, project_ball(ball, x)) <= CERTIFICATE_GATE
+
+
+def _mutations(ball, x, rng):
+    """name -> (feasible, x, p) for wrong answers p for the nearest point (x outside the ball)."""
+    c, r = ball.center, ball.radius
+    u = (x - c) / np.linalg.norm(x - c)
+    e = unit(rng, x.size)
+    scale = max(np.max(np.abs(x)), np.max(np.abs(c)), r)
+    z = np.append(x, -x[0])  # both signs
+    wrong = {
+        "radius": (ball, x, c + r * (1.0 + 1e-9) * u),
+        "shrunk_radius": (ball, x, c + r * (1.0 - 1e-9) * u),
+        "dropped_center": (ball, x, project_ball(Ball(np.zeros(x.size), r), x)),
+        "offset": (ball, x, project_ball(ball, x) + 1e-9 * scale * e),
+        "offset_orthant": ("orthant", x, project_cone(x) + 1e-9 * np.max(np.abs(x)) * e),
+        "wrong_sign": ("orthant", z, np.minimum(z, 0.0)),
+        "zero": ("orthant", z, np.zeros(z.size)),
+    }
+    if x.size > 1:  # on the sphere, but turned by 1e-9 radians
+        t = e - np.dot(e, u) * u
+        turned = u + 1e-9 * t / np.linalg.norm(t)
+        wrong["tangent"] = (ball, x, c + r * turned / np.linalg.norm(turned))
+    return wrong
+
+
+def test_certificate_fails_every_mutation():
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        dim = int(rng.choice([1, 2, 3, 16, 100]))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        ball = Ball(center=rng.normal(scale=scale, size=dim), radius=scale * rng.uniform(0.1, 3.0))
+        x = ball.center + ball.radius * rng.uniform(1.5, 5.0) * unit(rng, dim)
+        for name, (feasible, y, p) in _mutations(ball, x, rng).items():
+            assert qp_projection_oracle(feasible, y, p) > CERTIFICATE_GATE, (name, y)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-480, 480))
+def test_certificate_is_invariant_under_power_of_two_scaling(seed, k):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(1, 9))
+    ball = Ball(rng.normal(size=dim), float(rng.uniform(0.1, 3.0)))
+    x = ball.center + rng.uniform(0.0, 4.0) * unit(rng, dim)
+    scaled = Ball(np.ldexp(ball.center, k), math.ldexp(ball.radius, k))
+    right = [(ball, x, project_ball(ball, x)), ("orthant", x, project_cone(x))]
+    for feasible, y, p in right + list(_mutations(ball, x, rng).values()):
+        at_k = "orthant" if feasible == "orthant" else scaled
+        assert qp_projection_oracle(at_k, np.ldexp(y, k), np.ldexp(p, k)) == (
+            qp_projection_oracle(feasible, y, p)
+        )
 
 
 def test_oracle_validation():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     with pytest.raises(ValueError):
-        qp_projection_oracle(ball, [1.0, 2.0, 3.0])
+        qp_projection_oracle(ball, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
-        qp_projection_oracle("simplex", [1.0])
+        qp_projection_oracle(ball, [1.0, 2.0], [1.0])
+    with pytest.raises(ValueError):
+        qp_projection_oracle("simplex", [1.0], [1.0])
 
 
-def test_oracle_reports_exhausted_iteration_budget(monkeypatch):
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    assert np.allclose(qp_projection_oracle(ball, [3.0, 4.0]), [0.6, 0.8], atol=1e-12)
-    monkeypatch.setattr(verify, "_ORACLE_ITERS", 0)
-    with pytest.raises(OracleConvergenceError, match=r"^no convergence within 0 iterations"):
-        qp_projection_oracle(ball, [3.0, 4.0])
+def test_closed_forms_match_scipy_solvers():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        dim = int(rng.integers(1, 9))
+        x = rng.normal(scale=2.0, size=dim)
+        orthant = optimize.lsq_linear(np.eye(dim), x, bounds=(0.0, np.inf), method="bvls").x
+        assert np.linalg.norm(orthant - project_cone(x)) <= 1e-10
+        ball = Ball(center=rng.normal(size=dim), radius=float(rng.uniform(0.5, 2.0)))
+        c, r = ball.center, ball.radius
+        inside = {"type": "ineq", "fun": lambda z: r * r - np.dot(z - c, z - c)}
+        nearest = optimize.minimize(
+            lambda z: 0.5 * np.dot(z - x, z - x),
+            ball.center,
+            jac=lambda z: z - x,
+            constraints=[inside],
+            method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 500},
+        ).x
+        assert np.linalg.norm(nearest - project_ball(ball, x)) <= 1e-6
