@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .vectors import Vector, as_points, as_vector, _same_dim, _scaled
+from .vectors import Vector, as_points, as_vector, norm, _same_dim, _scaled
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def classify_ball(ball: Ball, x) -> BallRegion:
     """Classify x as interior / exterior / on the sphere, with ties to sphere."""
     x = as_vector(x)
     _same_dim(ball.center, x)
-    d, k = _scaled(x - ball.center)
-    gap = math.ldexp(math.sqrt(float(np.dot(d, d))), k) - ball.radius
+    gap = float(norm(x - ball.center)) - ball.radius
     if abs(gap) <= sphere_tolerance(ball.radius):
         tag = BallRegionTag.SPHERE
     elif gap < 0.0:
@@ -74,7 +73,7 @@ def project_ball(ball: Ball, x) -> Vector:
     x = as_points(x)
     _same_dim(ball.center, x)
     d = x - ball.center
-    dist = np.sqrt(np.vecdot(d, d))
+    dist = norm(d)
     outside = dist > ball.radius
     count = np.count_nonzero(outside)
     if count == 0:
@@ -138,7 +137,7 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     if region.tag is BallRegionTag.EXTERIOR:
         anchor = x - ball.center
         scaled, k = _scaled(anchor)
-        scale = math.ldexp(ball.radius / math.sqrt(float(np.dot(scaled, scaled))), -k)
+        scale = math.ldexp(ball.radius / float(norm(scaled)), -k)
         anchor.flags.writeable = scaled.flags.writeable = False
         return BallDeriv(
             kind=BallDerivKind.EXTERIOR, dim=x.size, anchor=anchor, scaled_anchor=scaled, scale=scale

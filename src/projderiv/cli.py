@@ -47,7 +47,7 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import parse_numbers
+from .vectors import norm, parse_numbers
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
@@ -348,7 +348,7 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         if not deriv.is_linear:
             raise JobError("x lies on the sphere, where no derivative exists; use refute")
         region_gap = abs(classify_ball(job.ball, x).signed_gap)
-        h = min(FD_STEP * (1.0 + float(np.linalg.norm(x))), region_gap / 4.0)
+        h = min(FD_STEP * (1.0 + float(norm(x))), region_gap / 4.0)
         fd_tol_is_relative = True
     else:
         f = project_cone
@@ -373,13 +373,12 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
 
     w = job.inputs.get("w")
     if w is None:
-        rng = np.random.default_rng(seed)
-        w = rng.standard_normal(x.size)
-        w /= float(np.linalg.norm(w))
+        w = np.random.default_rng(seed).standard_normal(x.size)
+        w /= float(norm(w))
     fd = (f(x + h * w) - f(x - h * w)) / (2.0 * h)
-    err = float(np.linalg.norm(fd - deriv.apply(w)))
+    err = float(norm(fd - deriv.apply(w)))
     if fd_tol_is_relative:
-        tol = 1e-6 * max(float(np.linalg.norm(deriv.apply(w))), float(np.linalg.norm(w)))
+        tol = 1e-6 * max(float(norm(deriv.apply(w))), float(norm(w)))
     else:
         tol = 1e-9
     ok &= _verdict(lines, "fd_match", err <= tol, err, tol)
@@ -403,7 +402,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
             f = lambda p: project_ball(job.ball, p)
             if d is None:
                 d = x - job.ball.center
-            if float(np.linalg.norm(d)) == 0.0:
+            if not d.any():
                 raise JobError("refutation direction is zero; supply input d")
         else:
             f = project_cone
@@ -412,7 +411,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
         lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
-    threshold = refutation_threshold(x, cert.direction, step)
+    threshold = refutation_threshold(job.ball or "orthant", x, cert.direction, step)
     lines.append(f"gap = {fmt_num(cert.gap)}")
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 

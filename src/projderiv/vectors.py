@@ -1,4 +1,4 @@
-"""Dense-vector primitives: coercion to finite float arrays and dimension checks."""
+"""Dense-vector primitives: coercion to finite float arrays, the 2-norm and dimension checks."""
 
 from __future__ import annotations
 
@@ -40,6 +40,21 @@ def parse_numbers(values: list, what: str) -> list[float]:
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"{what} must be finite")
     return floats
+
+
+def norm(v):
+    """‖v‖ along the last axis (Blue, ACM TOMS 1978): sqrt(v·v), and only where a square
+    over- or underflows, each row first divided by the power of two above its largest
+    |v_i|.  That is exact, so results keep their bits at normal magnitudes and 2^k·v has
+    norm 2^k·‖v‖ exactly.  Beyond the float range the norm is inf, with no warning."""
+    try:
+        with np.errstate(over="raise", under="raise"):
+            return np.sqrt(np.vecdot(v, v))
+    except FloatingPointError:
+        with np.errstate(over="ignore", under="ignore"):
+            k = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
+            s = np.ldexp(v, -k)
+            return np.ldexp(np.sqrt(np.vecdot(s, s)), k[..., 0])
 
 
 def _scaled(d: Vector) -> tuple[Vector, int]:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .balls import Ball
-from .vectors import Vector, as_vector, _same_dim, _scaled
+from .vectors import Vector, as_vector, norm, _same_dim, _scaled
 
 _EPS = float(np.finfo(np.float64).eps)
 # Forward-difference step of every refutation, and the cap on verify's fd_match step
@@ -145,26 +145,26 @@ def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP)
     d = as_vector(d)
     forward = fd_directional(f, x, d, step)
     backward = -fd_directional(f, x, -d, step)
-    gap = float(np.linalg.norm(forward - backward))
+    gap = float(norm(forward - backward))
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
 
 
-def refutation_threshold(x, d, step: float = FD_STEP) -> float:
+def refutation_threshold(feasible: Ball | str, x, d, step: float = FD_STEP) -> float:
     """Gap size above which refute_linearity counts as a refutation.
 
-    100x a conservative forward-difference error budget at step t:
-    curvature (O(t ‖d‖²)) plus roundoff (O(eps (1 + ‖x‖ + ‖d‖) / t)).  Both
-    norms are taken over power-of-two-scaled coordinates, so neither
-    overflows below the float range; a norm beyond it saturates the
-    threshold to inf, which no finite gap exceeds.
+    100x a forward-difference error budget at step t, in units of length (2^k
+    times a job has 2^k times its threshold): t·‖d‖·(‖d‖/r) + eps·(‖x_d‖ + ‖d‖)/t.
+    On a Ball of radius r, x_d = x; the ``"orthant"`` clamp has no curvature term,
+    and x_d is x on d's support (coordinates d does not move stay exact).
     """
     x, d = as_vector(x), as_vector(d)
-    try:
-        nx, nd = (math.ldexp(math.sqrt(float(np.dot(s, s))), k) for s, k in map(_scaled, (x, d)))
-    except OverflowError:
-        return math.inf
-    t = float(step)
-    return 100.0 * (t * (nd * nd) + _EPS * (1.0 + nx + nd) / t)
+    _same_dim(x, d)
+    nd, t = float(norm(d)), float(step)
+    if isinstance(feasible, Ball):
+        return 100.0 * (t * nd * (nd / feasible.radius) + _EPS * (float(norm(x)) + nd) / t)
+    if feasible != "orthant":
+        raise ValueError("feasible must be a Ball or 'orthant'")
+    return 100.0 * (_EPS * (float(norm(x[d != 0.0])) + nd) / t)
 
 
 def qp_projection_oracle(feasible: Ball | str, x, p) -> float:
@@ -203,11 +203,10 @@ def qp_projection_oracle(feasible: Ball | str, x, p) -> float:
     g = x - p
     if ball:
         d = p - s[2 * n : 3 * n]
-        norm = lambda v: math.sqrt(float(np.vecdot(v, v)))  # as project_ball sums ‖x − c‖²
-        gn, dn = norm(g), norm(d)
+        gn, dn = float(norm(g)), float(norm(d))
         off = dn - float(s[-1])
         top = max(gn, dn)
-        ray = norm(gn * d - dn * g) / top if top else 0.0
+        ray = float(norm(gn * d - dn * g)) / top if top else 0.0
         residuals = [off, min(gn, abs(off)), ray]
     else:
         residuals = np.concatenate((-p, g, np.minimum(np.abs(p), np.abs(g))))

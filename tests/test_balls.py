@@ -36,6 +36,22 @@ def test_project_outside_point():
     assert np.array_equal(project_ball(ball, [4.0, 1.0]), [3.0, 1.0])
 
 
+@pytest.mark.parametrize("x", [[1e200, 0.0], [[1e200, 0.0], [0.5, 0.0]]])
+def test_project_far_point_onto_unit_ball(x):
+    # ‖x‖² overflowed: the row projected to [0, 0]
+    expected = [1.0, 0.0] if np.ndim(x) == 1 else [[1.0, 0.0], [0.5, 0.0]]
+    assert np.array_equal(project_ball(Ball(center=[0.0, 0.0], radius=1.0), x), expected)
+
+
+def test_project_and_classify_agree_at_radius_1e_200():
+    # ‖x‖² underflowed to 0 < r: x came back unprojected, though classify said exterior
+    ball = Ball(center=[0.0, 0.0], radius=1e-200)
+    assert classify_ball(ball, [2e-200, 0.0]).tag is BallRegionTag.EXTERIOR
+    assert np.array_equal(project_ball(ball, [2e-200, 0.0]), [1e-200, 0.0])
+    assert classify_ball(ball, [0.5e-200, 0.0]).tag is BallRegionTag.INTERIOR
+    assert np.array_equal(project_ball(ball, [0.5e-200, 0.0]), [0.5e-200, 0.0])
+
+
 def test_project_inside_is_identity():
     ball = Ball(center=[1.0, 1.0], radius=2.0)
     assert np.array_equal(project_ball(ball, [1.5, 0.5]), [1.5, 0.5])

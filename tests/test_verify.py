@@ -251,8 +251,25 @@ def test_refute_linearity_on_kinked_and_smooth_maps():
     assert np.allclose(cert.forward_limit, [1.0, 0.0], atol=1e-12)
     assert np.allclose(cert.backward_limit, [-1.0, 0.0], atol=1e-12)
     assert refute_linearity(lambda v: v, [0.0, 0.0], [1.0, 0.0]).gap == 0.0
-    threshold = refutation_threshold([0.0, 0.0], [1.0, 0.0])
+    threshold = refutation_threshold("orthant", [0.0, 0.0], [1.0, 0.0])
     assert 0.0 < threshold < 0.01 < gap
+
+
+def test_refutation_threshold_is_a_length():
+    t, eps = 1e-5, np.finfo(np.float64).eps
+    ball = Ball(center=[5.0, 0.0], radius=2.0)
+    # ball: curvature t‖d‖²/r plus roundoff on ‖x‖ + ‖d‖
+    threshold = refutation_threshold(ball, [3.0, 4.0], [0.0, 2.0], t)
+    assert threshold == 100.0 * (t * 2.0 * (2.0 / 2.0) + eps * (5.0 + 2.0) / t)
+    big = Ball(center=[5.0 * 2.0**600, 0.0], radius=2.0**601)
+    x, d = [3.0 * 2.0**600, 4.0 * 2.0**600], [0.0, 2.0**601]
+    assert refutation_threshold(big, x, d, t) == math.ldexp(threshold, 600)
+    # orthant: no curvature, and only the coordinates that d moves count
+    threshold = refutation_threshold("orthant", [1e300, 0.0, -3.0], [0.0, 4.0, 3.0], t)
+    assert threshold == 100.0 * (eps * (3.0 + 5.0) / t)
+    assert refutation_threshold("orthant", [1.0, 0.0], [0.0, 0.0], t) == 0.0
+    with pytest.raises(ValueError):
+        refutation_threshold("sphere", [1.0], [1.0])
 
 
 def test_certificate_is_exactly_zero_on_interior_orthant_and_cone_l2_inputs():
