@@ -490,6 +490,124 @@ def test_seed_validation(tmp_path, capsys):
     assert run(tmp_path, capsys, job)[0] == 2
 
 
+ZERO_SEQ = {"overrides": [], "tail": {"kind": "zero"}}
+NOT_A_RECORD = "record must have exactly the keys 'overrides' and 'tail'"
+
+
+def loader_case(section, key, value, message, set_kind="cone_rn"):
+    """A job that differs from a good one only in one key, and the stderr line it must give."""
+    x = ZERO_SEQ if set_kind == "cone_l2" else [1.0]
+    job = {"command": "project", "set": {"kind": set_kind}, "inputs": {"x": x}}
+    if section == "set":
+        job["set"] = {"kind": "ball", "center": [0], "radius": 1, key: value}
+    else:
+        job[section] = {**job.get(section, {}), key: value}
+    return pytest.param(job, (), message, id=f"{set_kind}-{section}.{key}={value!r}")
+
+
+def dense_cases(key, what):
+    return [
+        loader_case("inputs", key, "a", f"{what} must be a non-empty list of numbers"),
+        loader_case("inputs", key, True, f"{what} must be a non-empty list of numbers"),
+        loader_case("inputs", key, [], f"{what} must be a non-empty list of numbers"),
+        loader_case("inputs", key, [True], f"{what} must be a number"),
+        loader_case("inputs", key, [1, "1"], f"{what} must be a number"),
+    ]
+
+
+def record_cases(key):
+    return [
+        loader_case("inputs", key, value, f"input {key}: {NOT_A_RECORD}", set_kind="cone_l2")
+        for value in ("a", True, [], [1.0])
+    ]
+
+
+def positive_list_cases(key):
+    return [
+        loader_case("options", key, "a", f"option {key} must be a non-empty list"),
+        loader_case("options", key, True, f"option {key} must be a non-empty list"),
+        loader_case("options", key, [], f"option {key} must be a non-empty list"),
+        loader_case("options", key, [True], f"option {key} must be a number"),
+        loader_case("options", key, [1e-3, 0], f"option {key} entries must be positive"),
+        loader_case("options", key, [-1e-3], f"option {key} entries must be positive"),
+    ]
+
+
+SEED_MESSAGE = "seed must be an integer in [0, 2^64)"
+LOADER_REFUSALS = [
+    *dense_cases("x", "input x"),
+    *dense_cases("w", "input w"),
+    *dense_cases("d", "input d"),
+    *[loader_case("inputs", "n", v, "input n must be a positive integer")
+      for v in ("a", True, [], 0, -1, 1.5)],
+    loader_case("inputs", "epsilon", "a", "input epsilon must be a number"),
+    loader_case("inputs", "epsilon", True, "input epsilon must be a number"),
+    loader_case("inputs", "epsilon", [], "input epsilon must be a number"),
+    loader_case("inputs", "epsilon", 0, "input epsilon must be positive"),
+    loader_case("inputs", "epsilon", -1.0, "input epsilon must be positive"),
+    *record_cases("x"),
+    *record_cases("w"),
+    loader_case("inputs", "d", [], "input d must be a non-empty list of numbers", set_kind="cone_l2"),
+    *[loader_case("options", "seed", v, SEED_MESSAGE) for v in ("a", True, [], -1, 2**64, 1.0)],
+    *positive_list_cases("steps"),
+    *positive_list_cases("radii"),
+    *[loader_case("options", "samples_per_radius", v, "option samples_per_radius must be a positive integer")
+      for v in ("a", True, [], 0, -1, 2.0)],
+    loader_case("set", "center", "a", "set.center must be a non-empty list of numbers"),
+    loader_case("set", "center", True, "set.center must be a non-empty list of numbers"),
+    loader_case("set", "center", [], "set.center must be a non-empty list of numbers"),
+    loader_case("set", "center", [True], "set.center must be a number"),
+    loader_case("set", "radius", "a", "set.radius must be a number"),
+    loader_case("set", "radius", True, "set.radius must be a number"),
+    loader_case("set", "radius", [], "set.radius must be a number"),
+    loader_case("set", "radius", 0, "radius must be finite and positive"),
+    loader_case("set", "radius", -1, "radius must be finite and positive"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": []}, (),
+                 "inputs must be an object", id="inputs-not-an-object"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]}, "options": 1},
+                 (), "options must be an object", id="options-not-an-object"),
+    loader_case("inputs", "y", [1], "unknown inputs: ['y']"),
+    loader_case("options", "mystery", 1, "unknown options: ['mystery']"),
+    # with several bad keys, the first in the order set, inputs x w d n epsilon, options is named
+    pytest.param({"command": "project", "set": {"kind": "ball", "center": [], "radius": 1},
+                  "inputs": {"x": []}}, (), "set.center must be a non-empty list of numbers",
+                 id="order-set-before-inputs"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"},
+                  "inputs": {"epsilon": 0, "n": 0, "d": [], "w": [], "x": []}}, (),
+                 "input x must be a non-empty list of numbers", id="order-x-first"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"},
+                  "inputs": {"epsilon": 0, "n": 0, "d": [], "w": []}}, (),
+                 "input w must be a non-empty list of numbers", id="order-w-before-d"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"},
+                  "inputs": {"epsilon": 0, "n": 0, "d": []}}, (),
+                 "input d must be a non-empty list of numbers", id="order-d-before-n"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"epsilon": 0, "n": 0}},
+                 (), "input n must be a positive integer", id="order-n-before-epsilon"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [], "y": 1}},
+                 (), "unknown inputs: ['y']", id="order-unknown-before-values"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"n": 0},
+                  "options": {"seed": -1}}, (), "input n must be a positive integer",
+                 id="order-inputs-before-options"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]},
+                  "options": {"samples_per_radius": 0, "radii": [], "steps": [], "seed": -1}}, (),
+                 SEED_MESSAGE, id="order-seed-first"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]},
+                  "options": {"samples_per_radius": 0, "radii": [], "steps": []}}, (),
+                 "option steps must be a non-empty list", id="order-steps-before-radii"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]},
+                  "options": {"samples_per_radius": 0, "radii": []}}, (),
+                 "option radii must be a non-empty list", id="order-radii-before-samples"),
+    pytest.param({"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]}},
+                 ("--seed", "-1"), SEED_MESSAGE, id="flag-seed=-1"),
+]
+
+
+@pytest.mark.parametrize("job,flags,message", LOADER_REFUSALS)
+def test_every_loader_refusal_names_its_key(tmp_path, capsys, job, flags, message):
+    code, out, err = run(tmp_path, capsys, job, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 HUGE = 10**400  # a JSON integer beyond the float range
 
 
