@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,6 @@ from .verify import (
 )
 
 SET_KINDS = ("ball", "cone_rn", "cone_l2")
-INPUT_KEYS = ("x", "w", "d", "n", "epsilon")
-OPTION_KEYS = ("seed", "steps", "radii", "samples_per_radius")
 
 
 class JobError(Exception):
@@ -87,17 +86,75 @@ def fmt_seq(s: SeqVector) -> str:
     return '{"overrides": [%s], "tail": %s}' % (pairs, tail_text)
 
 
-def _require_numbers(values: list, what: str) -> list[float]:
-    try:
-        return parse_numbers(values, what)
-    except ValueError as e:
-        raise JobError(str(e)) from None
+def _fmt(value) -> str:
+    """Any job value or result: a sequence, a vector or list of numbers, a count, a number."""
+    if isinstance(value, SeqVector):
+        return fmt_seq(value)
+    if isinstance(value, (np.ndarray, tuple)):
+        return fmt_vec(value)
+    if isinstance(value, int):
+        return str(value)
+    return fmt_num(value)
 
 
-def _require_vector(value, what: str) -> np.ndarray:
+def _vector(value, what: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
-        raise JobError(f"{what} must be a non-empty list of numbers")
-    return np.array(_require_numbers(value, what))
+        raise ValueError(f"{what} must be a non-empty list of numbers")
+    return np.array(parse_numbers(value, what))
+
+
+def _record(value, what: str) -> SeqVector:
+    try:
+        return SeqVector.from_record(value)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
+
+
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer")
+    return value
+
+
+def _positive(value, what: str) -> float:
+    v = parse_numbers([value], what)[0]
+    if v <= 0:
+        raise ValueError(f"{what} must be positive")
+    return v
+
+
+def _positives(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{what} must be a non-empty list")
+    parsed = parse_numbers(value, what)
+    if any(v <= 0 for v in parsed):
+        raise ValueError(f"{what} entries must be positive")
+    return tuple(parsed)
+
+
+def _seed(value, what: str = "seed") -> int:  # named "seed" in a job and on the command line
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ValueError("seed must be an integer in [0, 2^64)")
+    return value
+
+
+# key -> parser, per job section, in the order the keys are checked; each parser
+# returns the parsed value or raises a ValueError whose message names `what`
+INPUTS = {"x": _vector, "w": _vector, "d": _vector, "n": _count, "epsilon": _positive}
+SEQUENCE_INPUTS = {**INPUTS, "x": _record, "w": _record}  # the inputs on cone_l2
+OPTIONS = {"seed": _seed, "steps": _positives, "radii": _positives, "samples_per_radius": _count}
+
+
+def _section(raw: dict, name: str, parsers: dict) -> dict:
+    """The parsed keys of section `name` ("inputs" or "options") of a job."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be an object")
+    unknown = set(section) - set(parsers)
+    if unknown:
+        raise ValueError(f"unknown {name}: {sorted(unknown)}")
+    what = name[:-1]  # "input x", "option steps"
+    return {key: parse(section[key], f"{what} {key}") for key, parse in parsers.items() if key in section}
 
 
 @dataclass
@@ -111,98 +168,42 @@ class JobSpec:
 
 def load_job(path: str) -> JobSpec:
     try:
-        raw = json.loads(Path(path).read_text())
+        return _job_spec(json.loads(Path(path).read_text()))
     except OSError as e:
         raise JobError(f"cannot read job file: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # not JSON, or not text
         raise JobError(f"job file is not valid JSON: {e}") from e
+    except ValueError as e:  # every refusal of the job's content
+        raise JobError(str(e)) from e
+
+
+def _job_spec(raw) -> JobSpec:
     if not isinstance(raw, dict):
-        raise JobError("job must be a JSON object")
+        raise ValueError("job must be a JSON object")
     unknown = set(raw) - {"command", "set", "inputs", "options"}
     if unknown:
-        raise JobError(f"unknown job keys: {sorted(unknown)}")
+        raise ValueError(f"unknown job keys: {sorted(unknown)}")
 
     command = raw.get("command")
     if command not in COMMANDS:
-        raise JobError(f"command must be one of {list(COMMANDS)}, got {command!r}")
+        raise ValueError(f"command must be one of {list(COMMANDS)}, got {command!r}")
 
     set_spec = raw.get("set")
     if not isinstance(set_spec, dict) or set_spec.get("kind") not in SET_KINDS:
-        raise JobError(f"set.kind must be one of {list(SET_KINDS)}")
+        raise ValueError(f"set.kind must be one of {list(SET_KINDS)}")
     set_kind = set_spec["kind"]
     ball = None
     if set_kind == "ball":
         if set(set_spec) != {"kind", "center", "radius"}:
-            raise JobError("ball set needs exactly center and radius")
-        try:
-            ball = Ball(
-                center=_require_vector(set_spec["center"], "set.center"),
-                radius=_require_numbers([set_spec["radius"]], "set.radius")[0],
-            )
-        except ValueError as e:
-            raise JobError(str(e)) from e
+            raise ValueError("ball set needs exactly center and radius")
+        center = _vector(set_spec["center"], "set.center")
+        ball = Ball(center=center, radius=parse_numbers([set_spec["radius"]], "set.radius")[0])
     elif set(set_spec) != {"kind"}:
-        raise JobError(f"set kind {set_kind!r} takes no parameters")
+        raise ValueError(f"set kind {set_kind!r} takes no parameters")
 
-    inputs_raw = raw.get("inputs", {})
-    if not isinstance(inputs_raw, dict):
-        raise JobError("inputs must be an object")
-    unknown = set(inputs_raw) - set(INPUT_KEYS)
-    if unknown:
-        raise JobError(f"unknown inputs: {sorted(unknown)}")
-    inputs = {}
-    for key in ("x", "w", "d"):
-        if key not in inputs_raw:
-            continue
-        if set_kind == "cone_l2" and key in ("x", "w"):
-            try:
-                inputs[key] = SeqVector.from_record(inputs_raw[key])
-            except ValueError as e:
-                raise JobError(f"input {key}: {e}") from e
-        else:
-            inputs[key] = _require_vector(inputs_raw[key], f"input {key}")
-    if "n" in inputs_raw:
-        n = inputs_raw["n"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise JobError("input n must be a positive integer")
-        inputs["n"] = n
-    if "epsilon" in inputs_raw:
-        eps = _require_numbers([inputs_raw["epsilon"]], "input epsilon")[0]
-        if eps <= 0:
-            raise JobError("input epsilon must be positive")
-        inputs["epsilon"] = eps
-
-    options_raw = raw.get("options", {})
-    if not isinstance(options_raw, dict):
-        raise JobError("options must be an object")
-    unknown = set(options_raw) - set(OPTION_KEYS)
-    if unknown:
-        raise JobError(f"unknown options: {sorted(unknown)}")
-    options = {}
-    if "seed" in options_raw:
-        options["seed"] = _require_seed(options_raw["seed"])
-    for key in ("steps", "radii"):
-        if key in options_raw:
-            values = options_raw[key]
-            if not isinstance(values, list) or not values:
-                raise JobError(f"option {key} must be a non-empty list")
-            parsed = _require_numbers(values, f"option {key}")
-            if any(v <= 0 for v in parsed):
-                raise JobError(f"option {key} entries must be positive")
-            options[key] = tuple(parsed)
-    if "samples_per_radius" in options_raw:
-        spr = options_raw["samples_per_radius"]
-        if isinstance(spr, bool) or not isinstance(spr, int) or spr < 1:
-            raise JobError("option samples_per_radius must be a positive integer")
-        options["samples_per_radius"] = spr
-
+    inputs = _section(raw, "inputs", SEQUENCE_INPUTS if set_kind == "cone_l2" else INPUTS)
+    options = _section(raw, "options", OPTIONS)
     return JobSpec(command=command, set_kind=set_kind, ball=ball, inputs=inputs, options=options)
-
-
-def _require_seed(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
-        raise JobError("seed must be an integer in [0, 2^64)")
-    return value
 
 
 def _need(job: JobSpec, key: str):
@@ -211,33 +212,19 @@ def _need(job: JobSpec, key: str):
     return job.inputs[key]
 
 
-def _set_description(job: JobSpec) -> str:
-    if job.set_kind == "ball":
-        return f"ball center={fmt_vec(job.ball.center)} radius={fmt_num(job.ball.radius)}"
-    return job.set_kind
-
-
 def _echo_lines(job: JobSpec) -> list[str]:
-    lines = [f"command: {job.command}", f"set: {_set_description(job)}"]
-    for key in sorted(job.inputs):
-        value = job.inputs[key]
-        if isinstance(value, SeqVector):
-            text = fmt_seq(value)
-        elif isinstance(value, np.ndarray):
-            text = fmt_vec(value)
-        elif isinstance(value, int):
-            text = str(value)
-        else:
-            text = fmt_num(value)
-        lines.append(f"input {key} = {text}")
-    for key in sorted(job.options):
-        value = job.options[key]
-        if isinstance(value, tuple):
-            text = fmt_vec(value)
-        else:
-            text = str(value)
-        lines.append(f"option {key} = {text}")
+    ball = f" center={_fmt(job.ball.center)} radius={_fmt(job.ball.radius)}" if job.ball else ""
+    lines = [f"command: {job.command}", f"set: {job.set_kind}{ball}"]
+    lines += [f"input {key} = {_fmt(job.inputs[key])}" for key in sorted(job.inputs)]
+    lines += [f"option {key} = {_fmt(job.options[key])}" for key in sorted(job.options)]
     return lines
+
+
+def _projection(job: JobSpec):
+    """The projection onto the job's set, as a map of a point (or a stack of points)."""
+    if job.set_kind == "ball":
+        return partial(project_ball, job.ball)
+    return project_cone if job.set_kind == "cone_rn" else project_cone_l2
 
 
 def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: float) -> bool:
@@ -248,13 +235,7 @@ def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: fl
 
 
 def _cmd_project(job: JobSpec, lines: list[str]) -> None:
-    x = _need(job, "x")
-    if job.set_kind == "ball":
-        lines.append(f"result = {fmt_vec(project_ball(job.ball, x))}")
-    elif job.set_kind == "cone_rn":
-        lines.append(f"result = {fmt_vec(project_cone(x))}")
-    else:
-        lines.append(f"result = {fmt_seq(project_cone_l2(x))}")
+    lines.append(f"result = {_fmt(_projection(job)(_need(job, 'x')))}")
 
 
 def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
@@ -275,32 +256,26 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
 def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
     x = _need(job, "x")
     w = job.inputs.get("w")
-    if job.set_kind == "ball":
-        deriv = ball_frechet_derivative(job.ball, x)
-        lines.append(f"kind = {deriv.kind.value}")
-        lines.append(f"linear = {str(deriv.is_linear).lower()}")
-        if deriv.kind is BallDerivKind.EXTERIOR:
-            lines.append(f"anchor = {fmt_vec(deriv.anchor)}")
-            lines.append(f"scale = {fmt_num(deriv.scale)}")
-        if deriv.kind is BallDerivKind.NOT_FRECHET:
-            lines.append("note = no linear derivative exists on the sphere; use gateaux or refute")
-            if w is not None:
-                lines.append("apply = unavailable")
-        elif w is not None:
-            lines.append(f"apply(w) = {fmt_vec(deriv.apply(w))}")
-    elif job.set_kind == "cone_rn":
-        deriv = cone_frechet_derivative(x)
-        lines.append(f"kind = {deriv.kind.value}")
-        lines.append(f"linear = {str(deriv.is_linear).lower()}")
-        if deriv.kind is ConeDerivKind.DIRECTIONAL_ONLY:
-            lines.append("note = only a one-sided directional derivative exists here; see refute")
-        if w is not None:
-            lines.append(f"apply(w) = {fmt_vec(deriv.apply(w))}")
-    else:
+    if job.set_kind == "cone_l2":
         raise JobError(
             "derive is not available for cone_l2 (the projection is nowhere Fréchet "
             "differentiable); use gateaux or witness"
         )
+    deriv = ball_frechet_derivative(job.ball, x) if job.ball else cone_frechet_derivative(x)
+    lines.append(f"kind = {deriv.kind.value}")
+    lines.append(f"linear = {str(deriv.is_linear).lower()}")
+    if deriv.kind is BallDerivKind.EXTERIOR:
+        lines.append(f"anchor = {fmt_vec(deriv.anchor)}")
+        lines.append(f"scale = {fmt_num(deriv.scale)}")
+    if deriv.kind is BallDerivKind.NOT_FRECHET:
+        lines.append("note = no linear derivative exists on the sphere; use gateaux or refute")
+        if w is not None:
+            lines.append("apply = unavailable")
+        return
+    if deriv.kind is ConeDerivKind.DIRECTIONAL_ONLY:
+        lines.append("note = only a one-sided directional derivative exists here; see refute")
+    if w is not None:
+        lines.append(f"apply(w) = {fmt_vec(deriv.apply(w))}")
 
 
 def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
@@ -309,60 +284,44 @@ def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
         result = ball_gateaux_sphere(job.ball, x, w)
         side = float(np.dot(x - job.ball.center, w))
         lines.append(f"direction_class = {'outward_or_tangent' if side >= 0 else 'inward'}")
-        lines.append(f"result = {fmt_vec(result)}")
     elif job.set_kind == "cone_rn":
-        lines.append(f"result = {fmt_vec(cone_gateaux(x, w))}")
+        result = cone_gateaux(x, w)
     else:
-        lines.append(f"result = {fmt_seq(l2_gateaux(x, w))}")
-
-
-def _scan_radii(job: JobSpec, region_gap: float) -> tuple[float, ...]:
-    if "radii" in job.options:
-        return job.options["radii"]
-    top = 1e-2
-    if region_gap > 0.0:
-        top = min(top, region_gap / 4.0)
-    return tuple(top * 10.0**-k for k in range(4))
+        result = l2_gateaux(x, w)
+    lines.append(f"result = {_fmt(result)}")
 
 
 def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     x = _need(job, "x")
-    ok = True
     seed = job.options.get("seed", 0)
-    samples = job.options.get("samples_per_radius", 64)
-
+    f = _projection(job)
+    p = f(x)
+    ok = True
+    if job.set_kind == "cone_l2":  # the dense clamp of the first 64 coordinates, exactly
+        x, p = x.truncate(64), p.truncate(64)
+        err = float(np.max(np.abs(p - project_cone(x))))
+        ok = _verdict(lines, "truncation_consistency", err == 0.0, err, 0.0)
+    cert = qp_projection_oracle(job.ball or "orthant", x, p)
+    ok &= _verdict(lines, "oracle_agreement", cert <= CERTIFICATE_GATE, cert, CERTIFICATE_GATE)
     if job.set_kind == "cone_l2":
-        length = 64
-        dense = x.truncate(length)
-        closed = project_cone_l2(x).truncate(length)
-        err = float(np.max(np.abs(closed - project_cone(dense))))
-        ok &= _verdict(lines, "truncation_consistency", err <= 1e-12, err, 1e-12)
-        cert = qp_projection_oracle("orthant", dense, closed)
-        ok &= _verdict(lines, "oracle_agreement", cert <= CERTIFICATE_GATE, cert, CERTIFICATE_GATE)
         return ok
 
-    if job.set_kind == "ball":
-        f = lambda p: project_ball(job.ball, p)
-        cert = qp_projection_oracle(job.ball, x, f(x))
+    if job.ball:
         deriv = ball_frechet_derivative(job.ball, x)
         if not deriv.is_linear:
             raise JobError("x lies on the sphere, where no derivative exists; use refute")
         region_gap = abs(classify_ball(job.ball, x).signed_gap)
         h = min(FD_STEP * (1.0 + float(norm(x))), region_gap / 4.0)
-        fd_tol_is_relative = True
     else:
-        f = project_cone
-        cert = qp_projection_oracle("orthant", x, f(x))
         deriv = cone_frechet_derivative(x)
         if not deriv.is_linear:
             raise JobError("x has a zero coordinate, where no derivative exists; use refute")
-        region_gap = float(np.min(np.abs(x)))  # no zero coordinate here
+        region_gap = float(np.min(np.abs(x)))
         h = min(FD_STEP, region_gap / 16.0)
-        fd_tol_is_relative = False
 
-    ok &= _verdict(lines, "oracle_agreement", cert <= CERTIFICATE_GATE, cert, CERTIFICATE_GATE)
-
-    radii = _scan_radii(job, region_gap)
+    top = min(1e-2, region_gap / 4.0)  # region_gap > 0: x is off the sphere and has no zero
+    radii = job.options.get("radii", tuple(top * 10.0**-k for k in range(4)))
+    samples = job.options.get("samples_per_radius", 64)
     scan = strict_residual_scan(
         f, deriv.apply, x, radii=radii, samples_per_radius=samples, seed=seed
     )
@@ -377,10 +336,7 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         w /= float(norm(w))
     fd = (f(x + h * w) - f(x - h * w)) / (2.0 * h)
     err = float(norm(fd - deriv.apply(w)))
-    if fd_tol_is_relative:
-        tol = 1e-6 * max(float(norm(deriv.apply(w))), float(norm(w)))
-    else:
-        tol = 1e-9
+    tol = 1e-6 * max(float(norm(deriv.apply(w))), float(norm(w))) if job.ball else 1e-9
     ok &= _verdict(lines, "fd_match", err <= tol, err, tol)
     return ok
 
@@ -398,15 +354,12 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
         except ValueError as e:
             raise JobError(f"{e}; supply input d for a custom probe") from e
     else:
-        if job.set_kind == "ball":
-            f = lambda p: project_ball(job.ball, p)
+        if job.ball:
             if d is None:
                 d = x - job.ball.center
             if not d.any():
                 raise JobError("refutation direction is zero; supply input d")
-        else:
-            f = project_cone
-        cert = refute_linearity(f, x, d, step)
+        cert = refute_linearity(_projection(job), x, d, step)
     lines.append(f"direction = {fmt_vec(cert.direction)}")
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
@@ -481,9 +434,9 @@ def main(argv=None) -> int:
     try:
         job = load_job(args.job)
         if args.seed is not None:
-            job.options["seed"] = _require_seed(args.seed)
+            job.options["seed"] = _seed(args.seed)
         lines, ok = run_job(job)
-    except JobError as e:
+    except (JobError, ValueError) as e:  # ValueError: a --seed out of range
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -454,6 +454,15 @@ def test_unreadable_and_invalid_json(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_job_file_that_is_not_text_is_refused(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["--job", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: job file is not valid JSON: ")
+
+
 def test_unknown_fields_rejected(tmp_path, capsys):
     bad_jobs = [
         {"command": "noop", "set": {"kind": "cone_rn"}, "inputs": {"x": [1]}},

@@ -1,9 +1,13 @@
-"""The README's library quick start runs as written and its comments hold."""
+"""The README's library quick start runs as written and its comments hold, and its command-line
+section runs its example job and documents every input and option the job loader reads."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
+
+from projderiv.cli import INPUTS, OPTIONS, SEQUENCE_INPUTS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +37,26 @@ def test_quick_start_comments_hold():
     assert np.array_equal(forward, [0.0, 1.0, 0.0])
     assert np.array_equal(backward, [0.0, 0.0, 0.0])
     assert residuals == (0.5, 2.0 / 3.0)
+
+
+def command_line_section() -> str:
+    return README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def table_keys(header: str) -> list[str]:
+    """The backticked names in the first column of the table headed `| <header> |`."""
+    table = command_line_section().split(f"| {header} |", 1)[1].split("\n\n", 1)[0]
+    return [re.fullmatch(r"\| `(\w+)` \|.*", row).group(1) for row in table.splitlines()[2:]]
+
+
+def test_command_line_example_job_passes(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(command_line_section().split("```json\n", 1)[1].split("```", 1)[0])
+    assert main(["--job", str(job)]) == 0
+    verdicts = [line.split()[2] for line in capsys.readouterr().out.splitlines() if line.startswith("VERDICT")]
+    assert verdicts == ["pass"] * 3
+
+
+def test_command_line_documents_every_input_and_option():
+    assert table_keys("input") == list(INPUTS) == list(SEQUENCE_INPUTS)
+    assert table_keys("option") == list(OPTIONS)
