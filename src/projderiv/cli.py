@@ -171,7 +171,7 @@ def load_job(path: str) -> JobSpec:
         return _job_spec(json.loads(Path(path).read_text()))
     except OSError as e:
         raise JobError(f"cannot read job file: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:  # not JSON, or not text
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # not text, not JSON, too deep
         raise JobError(f"job file is not valid JSON: {e}") from e
     except ValueError as e:  # every refusal of the job's content
         raise JobError(str(e)) from e

@@ -454,9 +454,10 @@ def test_unreadable_and_invalid_json(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_job_file_that_is_not_text_is_refused(tmp_path, capsys):
-    path = tmp_path / "binary.json"
-    path.write_bytes(b"\xff\xfe{")
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000], ids=["not-text", "nested-too-deep"])
+def test_job_file_that_cannot_be_decoded_is_refused(tmp_path, capsys, content):
+    path = tmp_path / "job.json"
+    path.write_bytes(content)
     assert main(["--job", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
