@@ -78,6 +78,10 @@ def project_ball(ball: Ball, x) -> Vector:
     count = np.count_nonzero(outside)
     if count == 0:
         return x
+    huge = np.isinf(dist)
+    if huge.any():  # ‖d‖ beyond the float range: pull back along d / 2^k (exact) instead
+        s = np.ldexp(d, -np.frexp(np.max(np.abs(d), axis=-1, keepdims=True))[1])
+        d, dist = np.where(huge[..., None], s, d), np.where(huge, norm(s), dist)
     if count == outside.size:
         return ball.center + (ball.radius / dist)[..., None] * d
     # rows on both sides: only outside rows divide, so a center row raises no warning

@@ -65,10 +65,6 @@ class JobError(Exception):
     """Job file cannot be run as written (exit code 2)."""
 
 
-def fmt_num(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def fmt_vec(v) -> str:
     return "[" + ", ".join(["%.17g" % c for c in np.asarray(v, dtype=np.float64).tolist()]) + "]"
 
@@ -94,7 +90,7 @@ def _fmt(value) -> str:
         return fmt_vec(value)
     if isinstance(value, int):
         return str(value)
-    return fmt_num(value)
+    return "%.17g" % value
 
 
 def _vector(value, what: str) -> np.ndarray:
@@ -132,7 +128,7 @@ def _positives(value, what: str) -> tuple[float, ...]:
     return tuple(parsed)
 
 
-def _seed(value, what: str = "seed") -> int:  # named "seed" in a job and on the command line
+def _seed(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
         raise ValueError("seed must be an integer in [0, 2^64)")
     return value
@@ -229,7 +225,7 @@ def _projection(job: JobSpec):
 
 def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: float) -> bool:
     lines.append(
-        f"VERDICT {op} {'pass' if ok else 'fail'} {fmt_num(measured)} {fmt_num(threshold)}"
+        f"VERDICT {op} {'pass' if ok else 'fail'} {_fmt(measured)} {_fmt(threshold)}"
     )
     return ok
 
@@ -243,7 +239,7 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
     if job.set_kind == "ball":
         region = classify_ball(job.ball, x)
         lines.append(f"region = {region.tag.value}")
-        lines.append(f"signed_gap = {fmt_num(region.signed_gap)}")
+        lines.append(f"signed_gap = {_fmt(region.signed_gap)}")
     elif job.set_kind == "cone_rn":
         lines.append(f"region = {classify_cone(x).value}")
         part = sign_partition(x)
@@ -266,7 +262,7 @@ def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
     lines.append(f"linear = {str(deriv.is_linear).lower()}")
     if deriv.kind is BallDerivKind.EXTERIOR:
         lines.append(f"anchor = {fmt_vec(deriv.anchor)}")
-        lines.append(f"scale = {fmt_num(deriv.scale)}")
+        lines.append(f"scale = {_fmt(deriv.scale)}")
     if deriv.kind is BallDerivKind.NOT_FRECHET:
         lines.append("note = no linear derivative exists on the sphere; use gateaux or refute")
         if w is not None:
@@ -326,7 +322,7 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         f, deriv.apply, x, radii=radii, samples_per_radius=samples, seed=seed
     )
     for radius, residual in zip(scan.radii, scan.residuals):
-        lines.append(f"scan radius={fmt_num(radius)} residual={fmt_num(residual)}")
+        lines.append(f"scan radius={_fmt(radius)} residual={_fmt(residual)}")
     ratio = scan.worst_decay_ratio()
     ok &= _verdict(lines, "strict_decay", ratio <= 0.5, ratio, 0.5)
 
@@ -334,6 +330,8 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
+    if not 0.0 < h < np.inf:
+        raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
     fd = (f(x + h * w) - f(x - h * w)) / (2.0 * h)
     err = float(norm(fd - deriv.apply(w)))
     tol = 1e-6 * max(float(norm(deriv.apply(w))), float(norm(w))) if job.ball else 1e-9
@@ -365,7 +363,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
         lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
     threshold = refutation_threshold(job.ball or "orthant", x, cert.direction, step)
-    lines.append(f"gap = {fmt_num(cert.gap)}")
+    lines.append(f"gap = {_fmt(cert.gap)}")
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 
 
@@ -380,8 +378,8 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     if has_n:
         report = l2_nonfrechet_witness(x, job.inputs["n"])
         lines.append(f"candidate = {report.candidate}")
-        lines.append(f"residual_u = {fmt_num(report.residual_u)}")
-        lines.append(f"residual_v = {fmt_num(report.residual_v)}")
+        lines.append(f"residual_u = {_fmt(report.residual_u)}")
+        lines.append(f"residual_v = {_fmt(report.residual_v)}")
         deviation = max(abs(report.residual_u - 0.5), abs(report.residual_v - 2.0 / 3.0))
         return _verdict(lines, "witness_constants", deviation <= 1e-12, deviation, 1e-12)
     eps = job.inputs["epsilon"]
@@ -390,7 +388,7 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     outside = not in_cone(escape)
     lines.append(f"escape = {fmt_seq(escape)}")
     lines.append(f"outside_cone = {str(outside).lower()}")
-    lines.append(f"distance = {fmt_num(gap)}")
+    lines.append(f"distance = {_fmt(gap)}")
     return _verdict(lines, "escape", outside and gap < eps, gap, eps)
 
 
@@ -423,36 +421,17 @@ def main(argv=None) -> int:
         description="Run a projection/derivative job file and print a deterministic report.",
     )
     parser.add_argument("--job", required=True, help="path to the JSON job file")
-    parser.add_argument("--seed", type=int, default=None, help="override options.seed")
-    parser.add_argument("--out", default=None, help="also write the report to this file")
-    parser.add_argument("--quiet", action="store_true", help="print only VERDICT lines")
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
 
     try:
-        job = load_job(args.job)
-        if args.seed is not None:
-            job.options["seed"] = _seed(args.seed)
-        lines, ok = run_job(job)
-    except (JobError, ValueError) as e:  # ValueError: a --seed out of range
+        lines, ok = run_job(load_job(args.job))
+    except JobError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    report = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            Path(args.out).write_text(report)
-        except OSError as e:
-            print(f"error: cannot write report: {e}", file=sys.stderr)
-            return 2
-    if args.quiet:
-        for line in lines:
-            if line.startswith("VERDICT"):
-                print(line)
-    else:
-        print(report, end="")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

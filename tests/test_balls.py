@@ -52,6 +52,25 @@ def test_project_and_classify_agree_at_radius_1e_200():
     assert np.array_equal(project_ball(ball, [0.5e-200, 0.0]), [0.5e-200, 0.0])
 
 
+BEYOND = [1.5e308, 1.5e308]  # ‖x‖ is beyond the float range
+DIAGONAL = [0.70710678118654757, 0.70710678118654757]
+
+
+def test_project_point_of_infinite_norm_onto_unit_ball():
+    # r / ‖x‖ was 0, so the row projected to the center [0, 0]
+    ball = Ball(center=[0.0, 0.0], radius=1.0)
+    assert np.array_equal(project_ball(ball, BEYOND), DIAGONAL)
+    # in a stack, the finite rows keep every bit of their one-row projections
+    rows = [BEYOND, [3.0, 4.0], [0.5, 0.0]]
+    assert np.array_equal(project_ball(ball, rows), [project_ball(ball, row) for row in rows])
+
+
+def test_project_point_of_infinite_norm_onto_ball_of_radius_1e300():
+    # ‖x / 2^1024‖ is about 1.18, below r: outside is decided by ‖x‖ itself
+    got = project_ball(Ball(center=[0.0, 0.0], radius=1e300), BEYOND)
+    np.testing.assert_allclose(got, 1e300 * np.array(DIAGONAL), rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_project_inside_is_identity():
     ball = Ball(center=[1.0, 1.0], radius=2.0)
     assert np.array_equal(project_ball(ball, [1.5, 0.5]), [1.5, 0.5])

@@ -1,5 +1,6 @@
 """The README's library quick start runs as written and its comments hold, and its command-line
-section runs its example job and documents every input and option the job loader reads."""
+section runs its example job and documents every flag the parser takes and every input and
+option the job loader reads."""
 
 import ast
 import re
@@ -49,10 +50,15 @@ def table_keys(header: str) -> list[str]:
     return [re.fullmatch(r"\| `(\w+)` \|.*", row).group(1) for row in table.splitlines()[2:]]
 
 
-def test_command_line_example_job_passes(tmp_path, capsys):
+def example_job(tmp_path) -> str:
+    """The section's example job, written to a file; its path."""
     job = tmp_path / "job.json"
     job.write_text(command_line_section().split("```json\n", 1)[1].split("```", 1)[0])
-    assert main(["--job", str(job)]) == 0
+    return str(job)
+
+
+def test_command_line_example_job_passes(tmp_path, capsys):
+    assert main(["--job", example_job(tmp_path)]) == 0
     verdicts = [line.split()[2] for line in capsys.readouterr().out.splitlines() if line.startswith("VERDICT")]
     assert verdicts == ["pass"] * 3
 
@@ -60,3 +66,15 @@ def test_command_line_example_job_passes(tmp_path, capsys):
 def test_command_line_documents_every_input_and_option():
     assert table_keys("input") == list(INPUTS) == list(SEQUENCE_INPUTS)
     assert table_keys("option") == list(OPTIONS)
+
+
+def test_command_line_names_exactly_the_parser_flags(capsys):
+    assert main(["--help"]) == 0
+    flags = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+    assert flags == set(re.findall(r"--\w+", command_line_section())) == {"--job"}
+
+
+def test_flag_the_parser_does_not_take_exits_2(tmp_path, capsys):
+    assert main(["--job", example_job(tmp_path), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --quiet" in captured.err
