@@ -165,6 +165,16 @@ def test_gateaux_ball_sphere_at_extreme_radii(tmp_path, capsys, r):
     assert out.splitlines()[-2:] == ["direction_class = outward_or_tangent", "result = [0, 1]"]
 
 
+@pytest.mark.parametrize(
+    "set_spec", [{"kind": "ball", "center": [0, 0], "radius": 1}, {"kind": "cone_rn"}],
+    ids=["ball", "cone_rn"],
+)
+def test_gateaux_refuses_a_direction_of_the_wrong_length(tmp_path, capsys, set_spec):
+    job = {"command": "gateaux", "set": set_spec, "inputs": {"x": [1, 0], "w": [1, 0, 0]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
+
+
 # ----------------------------------------------------------------- verify
 
 
