@@ -6,8 +6,8 @@ onto the sphere outside.  Its derivative splits into three regimes:
 * interior points: the identity map,
 * exterior points: a scaled rank-one-deficient map that kills the radial
   component and shrinks the rest by radius / distance-to-center,
-* sphere points: no Fréchet derivative exists; only direction-dependent
-  one-sided (Gâteaux) derivatives, served by :func:`ball_gateaux_sphere`.
+* sphere points: no Fréchet derivative exists; :meth:`BallDeriv.apply` there
+  is the one-sided (Gâteaux) derivative, which depends on the direction.
 """
 
 from __future__ import annotations
@@ -58,13 +58,10 @@ def classify_ball(ball: Ball, x) -> BallRegion:
     """Classify x as interior / exterior / on the sphere, with ties to sphere."""
     x = as_vector(x)
     _same_dim(ball.center, x)
-    gap = float(norm(x - ball.center)) - ball.radius
+    gap = float(norm(_offset(ball, x))) - ball.radius
     if abs(gap) <= sphere_tolerance(ball.radius):
-        tag = BallRegionTag.SPHERE
-    elif gap < 0.0:
-        tag = BallRegionTag.INTERIOR
-    else:
-        tag = BallRegionTag.EXTERIOR
+        return BallRegion(tag=BallRegionTag.SPHERE, signed_gap=gap)
+    tag = BallRegionTag.INTERIOR if gap < 0.0 else BallRegionTag.EXTERIOR
     return BallRegion(tag=tag, signed_gap=gap)
 
 
@@ -72,21 +69,35 @@ def project_ball(ball: Ball, x) -> Vector:
     """Nearest point of the closed ball, row by row: x inside, radial pull-back outside."""
     x = as_points(x)
     _same_dim(ball.center, x)
-    d = x - ball.center
+    d = _offset(ball, x)
     dist = norm(d)
     outside = dist > ball.radius
     count = np.count_nonzero(outside)
     if count == 0:
         return x
-    huge = np.isinf(dist)
-    if huge.any():  # ‖d‖ beyond the float range: pull back along d / 2^k (exact) instead
-        s = np.ldexp(d, -np.frexp(np.max(np.abs(d), axis=-1, keepdims=True))[1])
-        d, dist = np.where(huge[..., None], s, d), np.where(huge, norm(s), dist)
+    far = dist * 2.0**-1022 > ball.radius
+    if far.any():  # ‖d‖ is inf or r/‖d‖ subnormal: pull back along (x − c)/2^k instead
+        s = _scaled_offset(ball, x, d)[0]
+        d, dist = np.where(far[..., None], s, d), np.where(far, norm(s), dist)
     if count == outside.size:
         return ball.center + (ball.radius / dist)[..., None] * d
     # rows on both sides: only outside rows divide, so a center row raises no warning
     scale = np.divide(ball.radius, dist, out=np.zeros_like(dist), where=outside)
     return np.where(outside[:, None], ball.center + scale[:, None] * d, x)
+
+
+def _offset(ball: Ball, x: Vector) -> Vector:
+    """x − c, with inf where x and c are too far apart for the float range."""
+    with np.errstate(over="ignore"):
+        return x - ball.center
+
+
+def _scaled_offset(ball: Ball, x: Vector, d: Vector) -> tuple[Vector, Vector]:
+    """_scaled(d) for d = _offset(ball, x); rows where d overflowed are scaled from x/2 − c/2
+    (only they are halved, so subnormal inputs elsewhere keep every bit)."""
+    far = np.isinf(d).any(axis=-1)
+    s, k = _scaled(np.where(far[..., None], x / 2 - ball.center / 2, d) if far.any() else d)
+    return s, k + far
 
 
 class BallDerivKind(Enum):
@@ -99,71 +110,59 @@ class BallDerivKind(Enum):
 class BallDeriv:
     """Derivative of the ball projection at a base point.
 
-    ``IDENTITY`` and ``EXTERIOR`` are genuine (strict) Fréchet derivatives
-    and support :meth:`apply`.  ``NOT_FRECHET`` records a sphere point where
-    no linear derivative exists; querying its action is an error.
+    ``IDENTITY`` and ``EXTERIOR`` are genuine (strict) Fréchet derivatives.  At a sphere
+    point (``NOT_FRECHET``) ``apply`` is the one-sided derivative, w − (⟨w, a⟩/r²)·a where
+    ⟨w, a⟩ ≥ 0 (a = x − c) and w otherwise: positively homogeneous, not additive.
     """
 
     kind: BallDerivKind
     dim: int
-    anchor: Vector | None = None  # x - center, exterior points only
-    scaled_anchor: Vector | None = None  # anchor / 2^k (see _scaled)
-    scale: float | None = None  # radius / ‖anchor‖
+    anchor: Vector | None = None  # x - center, exterior and sphere points
+    scaled_anchor: Vector | None = None  # anchor / 2^k (see _scaled): r² fails beyond ~1e±154
+    scale: float | None = None  # radius / ‖anchor‖, exterior points only
+    scaled_radius: float | None = None  # radius / 2^k, sphere points only
 
     @property
     def is_linear(self) -> bool:
         return self.kind is not BallDerivKind.NOT_FRECHET
 
     def apply(self, w) -> Vector:
-        """The linear action on one direction (n,) or on each row of a stack (S, n)."""
+        """The action on one direction (n,) or on each row of a stack (S, n)."""
         w = as_points(w)
         if w.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.dim}")
         if self.kind is BallDerivKind.IDENTITY:
             return w
+        a = self.scaled_anchor
         if self.kind is BallDerivKind.EXTERIOR:
-            a = self.scaled_anchor
             radial = (np.vecdot(w, a) / float(np.dot(a, a)))[..., None] * a
             return self.scale * (w - radial)
-        raise ValueError("no linear derivative exists at a sphere point")
+        side = np.vecdot(w, a)[..., None]  # inward rows (side < 0) keep w
+        radial = np.maximum(side, 0.0) / (self.scaled_radius * self.scaled_radius) * a
+        return np.where(side >= 0.0, w - radial, w)
 
 
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
-    """Derivative operator of the ball projection at x, by region.
-
-    Sphere points return a ``NOT_FRECHET`` marker value rather than raising:
-    non-differentiability there is a result, not a failure.
-    """
+    """Derivative operator of the ball projection at x, by region; ``NOT_FRECHET`` at sphere
+    points rather than an error, as non-differentiability there is a result, not a failure."""
     x = as_vector(x)
     region = classify_ball(ball, x)
     if region.tag is BallRegionTag.INTERIOR:
         return BallDeriv(kind=BallDerivKind.IDENTITY, dim=x.size)
-    if region.tag is BallRegionTag.EXTERIOR:
-        anchor = x - ball.center
-        scaled, k = _scaled(anchor)
-        scale = math.ldexp(ball.radius / float(norm(scaled)), -k)
-        anchor.flags.writeable = scaled.flags.writeable = False
-        return BallDeriv(
-            kind=BallDerivKind.EXTERIOR, dim=x.size, anchor=anchor, scaled_anchor=scaled, scale=scale
-        )
-    return BallDeriv(kind=BallDerivKind.NOT_FRECHET, dim=x.size)
+    anchor = _offset(ball, x)
+    scaled, k = _scaled_offset(ball, x, anchor)
+    anchor.flags.writeable = scaled.flags.writeable = False
+    if region.tag is BallRegionTag.SPHERE:
+        r = math.ldexp(ball.radius, -int(k))
+        return BallDeriv(BallDerivKind.NOT_FRECHET, x.size, anchor, scaled, scaled_radius=r)
+    scale = math.ldexp(ball.radius / float(norm(scaled)), -int(k))
+    return BallDeriv(BallDerivKind.EXTERIOR, x.size, anchor, scaled, scale)
 
 
 def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:
-    """One-sided directional derivative of the projection at a sphere point.
-
-    Directions pointing outward or tangent (⟨x - c, w⟩ ≥ 0) feel the sphere's
-    curvature and lose their radial growth; inward directions re-enter the
-    ball, where the projection is the identity.
-    """
-    x, w = as_vector(x), as_vector(w)
-    region = classify_ball(ball, x)
-    if region.tag is not BallRegionTag.SPHERE:
+    """One-sided derivative at a sphere point: ``apply`` of its derivative, refused off the sphere."""
+    x, deriv = as_vector(x), ball_frechet_derivative(ball, x)
+    if deriv.is_linear:
         raise ValueError("base point must lie on the sphere")
-    _same_dim(x, w)
-    a, k = _scaled(x - ball.center)  # r² under- or overflows at radii beyond about 1e±154
-    r = math.ldexp(ball.radius, -k)
-    s = float(np.dot(a, w))
-    if s >= 0.0:
-        return w - (s / (r * r)) * a
-    return w
+    _same_dim(x, as_vector(w))
+    return deriv.apply(w)

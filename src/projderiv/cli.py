@@ -28,11 +28,11 @@ from .balls import (
     ball_gateaux_sphere,
     classify_ball,
     project_ball,
+    _offset,
 )
 from .orthant import (
     ConeDerivKind,
     cone_frechet_derivative,
-    cone_gateaux,
     cone_refute_frechet,
     classify_cone,
     project_cone,
@@ -48,7 +48,7 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import norm, parse_numbers
+from .vectors import norm, parse_numbers, _same_dim
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
@@ -278,10 +278,11 @@ def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
     x, w = _need(job, "x"), _need(job, "w")
     if job.set_kind == "ball":
         result = ball_gateaux_sphere(job.ball, x, w)
-        side = float(np.dot(x - job.ball.center, w))
+        side = np.vecdot(w, ball_frechet_derivative(job.ball, x).scaled_anchor)  # as in apply
         lines.append(f"direction_class = {'outward_or_tangent' if side >= 0 else 'inward'}")
     elif job.set_kind == "cone_rn":
-        result = cone_gateaux(x, w)
+        _same_dim(x, w)
+        result = cone_frechet_derivative(x).apply(w)
     else:
         result = l2_gateaux(x, w)
     lines.append(f"result = {_fmt(result)}")
@@ -353,8 +354,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
             raise JobError(f"{e}; supply input d for a custom probe") from e
     else:
         if job.ball:
-            if d is None:
-                d = x - job.ball.center
+            d = _offset(job.ball, x) if d is None else d  # inf if too far apart: refused below
             if not d.any():
                 raise JobError("refutation direction is zero; supply input d")
         cert = refute_linearity(_projection(job), x, d, step)

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .vectors import Vector, as_points, as_vector, _same_dim
+from .vectors import Vector, as_points, as_vector
 from .verify import FD_STEP, Refutation, refute_linearity
 
 
@@ -114,16 +114,6 @@ def cone_frechet_derivative(x) -> ConeDeriv:
         ConeRegion.HAS_ZERO: ConeDerivKind.DIRECTIONAL_ONLY,
     }[region]
     return ConeDeriv(kind=kind, partition=partition)
-
-
-def cone_gateaux(x, w) -> Vector:
-    """One-sided directional derivative of the orthant projection.
-
-    Defined everywhere; at the origin it reduces to the projection itself.
-    """
-    x, w = as_vector(x), as_vector(w)
-    _same_dim(x, w)
-    return cone_frechet_derivative(x).apply(w)
 
 
 def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:

@@ -52,16 +52,15 @@ def norm(v):
             return np.sqrt(np.vecdot(v, v))
     except FloatingPointError:
         with np.errstate(over="ignore", under="ignore"):
-            k = np.frexp(np.max(np.abs(v), axis=-1, keepdims=True))[1]
-            s = np.ldexp(v, -k)
-            return np.ldexp(np.sqrt(np.vecdot(s, s)), k[..., 0])
+            s, k = _scaled(v)
+            return np.ldexp(np.sqrt(np.vecdot(s, s)), k)
 
 
-def _scaled(d: Vector) -> tuple[Vector, int]:
-    """(d / 2^k, k) with 2^k just above max |d_i|: exact, and the squares of
-    d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
-    k = math.frexp(float(np.max(np.abs(d))))[1]
-    return np.ldexp(d, -k), k
+def _scaled(d: Vector) -> tuple[Vector, Vector]:
+    """(d / 2^k, k) row by row, with 2^k just above each row's max |d_i|: exact, and the
+    squares of d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
+    k = np.frexp(np.max(np.abs(d), axis=-1, keepdims=True))[1]
+    return np.ldexp(d, -k), k[..., 0]
 
 
 def _same_dim(x: Vector, y: Vector) -> None:

@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,30 @@ def test_project_point_of_infinite_norm_onto_ball_of_radius_1e300():
     # ‖x / 2^1024‖ is about 1.18, below r: outside is decided by ‖x‖ itself
     got = project_ball(Ball(center=[0.0, 0.0], radius=1e300), BEYOND)
     np.testing.assert_allclose(got, 1e300 * np.array(DIAGONAL), rtol=4 * np.finfo(float).eps, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_point_and_center_too_far_apart_for_the_float_range():
+    # x − c overflowed: project printed a warning and [nan, 0], classify a warning
+    ball = Ball(center=[-1e308, 0.0], radius=1.0)
+    assert np.array_equal(project_ball(ball, [1e308, 0.0]), [-1e308, 0.0])
+    region = classify_ball(ball, [1e308, 0.0])
+    assert (region.tag, region.signed_gap) == (BallRegionTag.EXTERIOR, np.inf)
+    rows = [[1e308, 0.0], [3.0, 4.0], [-1e308, 0.5]]
+    assert np.array_equal(project_ball(ball, rows), [project_ball(ball, row) for row in rows])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "radius,expected", [(1e-300, 7.0710678118654751e-301), (1e-10, 7.0710678118654753e-11)]
+)
+def test_pull_back_where_radius_over_distance_is_subnormal(radius, expected):
+    # r/‖x − c‖ was formed first: 0 at r = 1e-300 (the center came back), and at
+    # r = 1e-10 a subnormal with 13 bits left, 7.071067811865641e-11 per coordinate
+    got = project_ball(Ball(center=[0.0, 0.0], radius=radius), [1e300, 1e300])
+    assert got.tolist() == [expected, expected]
+    exact = Decimal(radius) / Decimal(2).sqrt()  # 28 digits
+    assert abs(Decimal(expected) - exact) <= Decimal(math.ulp(expected)) / 2  # correctly rounded
 
 
 def test_project_inside_is_identity():
@@ -212,15 +239,34 @@ def test_exterior_derivative_is_exact_under_power_of_two_scaling(k):
     assert np.array_equal(scaled.apply(w), base.apply(w))
 
 
-def test_not_frechet_marker_refuses_linear_queries():
-    ball = Ball(center=[0.0, 0.0], radius=1.0)
-    marker = ball_frechet_derivative(ball, [1.0, 0.0])
-    assert marker.kind is BallDerivKind.NOT_FRECHET
-    assert not marker.is_linear
-    with pytest.raises(ValueError):
-        marker.apply([1.0, 0.0])
-    with pytest.raises(ValueError):
-        marker.apply(np.eye(2))
+def sphere_formula(ball, x, w):
+    """The one-sided derivative at a sphere point, formed on its own for one direction."""
+    a = np.asarray(x, dtype=float) - ball.center
+    k = math.frexp(float(np.max(np.abs(a))))[1]
+    a, r = np.ldexp(a, -k), math.ldexp(ball.radius, -k)
+    s = float(np.dot(a, w))
+    return w - (s / (r * r)) * a if s >= 0.0 else np.asarray(w, dtype=float)
+
+
+@pytest.mark.parametrize("k", [-900, 0, 900])
+def test_sphere_derivative_is_the_one_sided_derivative(k):
+    ball = Ball(center=np.ldexp([0.25, -0.5, 1.0], k), radius=math.ldexp(1.3, k))
+    rng = np.random.default_rng(10)
+    x = ball.center + ball.radius * unit(rng, 3)
+    deriv = ball_frechet_derivative(ball, x)
+    assert deriv.kind is BallDerivKind.NOT_FRECHET
+    assert not deriv.is_linear
+    radial = np.ldexp(x - ball.center, -k)  # unit scale, whatever k is
+    tangent = np.cross(radial, rng.normal(size=3))
+    w = np.vstack([radial, -radial, tangent, radial + tangent, tangent - radial, rng.normal(size=(8, 3))])
+    for row in w:  # outward, inward, tangent and mixed directions, bit for bit
+        assert np.array_equal(deriv.apply(row), sphere_formula(ball, x, row))
+    assert np.array_equal(deriv.apply(w), [deriv.apply(row) for row in w])
+    # positively homogeneous, but not additive across the tangent plane
+    for lam in (0.5, 2.0, 8.0):
+        assert np.array_equal(deriv.apply(lam * w), lam * deriv.apply(w))
+    up, down = w[0], w[1]
+    assert not np.allclose(deriv.apply(up) + deriv.apply(down), deriv.apply(up + down))
 
 
 def test_gateaux_sphere_direction_classes():

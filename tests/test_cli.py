@@ -175,6 +175,39 @@ def test_gateaux_refuses_a_direction_of_the_wrong_length(tmp_path, capsys, set_s
     assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
 
 
+@pytest.mark.parametrize(
+    "w,result", [([-1e-200, 0], "[-9.9999999999999998e-201, 0]"), ([-1e-300, 1], "[-1e-300, 1]")]
+)
+def test_gateaux_direction_class_agrees_with_the_result(tmp_path, capsys, w, result):
+    # ⟨x − c, w⟩ was formed unscaled and underflowed to -0: the report said
+    # outward_or_tangent next to the inward result
+    job = ball_job("gateaux", [0, 0], 1e-200, inputs={"x": [1e-200, 0], "w": w})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == ["direction_class = inward", f"result = {result}"]
+
+
+# x − c overflows: derive printed scale = 0 and apply(w) = [nan, nan] after a
+# RuntimeWarning, and refute a RuntimeWarning before its error line
+FAR_APART = {"center": [-1e308, 0], "radius": 1}
+
+
+@pytest.mark.filterwarnings("error")
+def test_derive_where_point_and_center_are_too_far_apart(tmp_path, capsys):
+    job = ball_job("derive", **FAR_APART, inputs={"x": [1e308, 0], "w": [0, 1]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert "scale = 4.9999999999999995e-309" in out.splitlines()
+    assert out.splitlines()[-1] == "apply(w) = [0, 4.9999999999999995e-309]"
+
+
+@pytest.mark.filterwarnings("error")
+def test_refute_where_point_and_center_are_too_far_apart(tmp_path, capsys):
+    job = ball_job("refute", **FAR_APART, inputs={"x": [1e308, 0]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
+
+
 # ----------------------------------------------------------------- verify
 
 

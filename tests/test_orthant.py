@@ -6,7 +6,6 @@ from projderiv import (
     ConeRegion,
     classify_cone,
     cone_frechet_derivative,
-    cone_gateaux,
     cone_refute_frechet,
     project_cone,
     sign_partition,
@@ -117,9 +116,11 @@ def test_directional_derivative_positively_homogeneous_not_additive():
     x = np.array([0.0, 1.0])
     w1, w2 = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     for lam in (0.5, 2.0, 7.25):
-        assert np.array_equal(cone_gateaux(x, lam * w1), lam * cone_gateaux(x, w1))
-    summed = cone_gateaux(x, w1) + cone_gateaux(x, w2)
-    assert not np.array_equal(cone_gateaux(x, w1 + w2), summed)
+        assert np.array_equal(
+            cone_frechet_derivative(x).apply(lam * w1), lam * cone_frechet_derivative(x).apply(w1)
+        )
+    summed = cone_frechet_derivative(x).apply(w1) + cone_frechet_derivative(x).apply(w2)
+    assert not np.array_equal(cone_frechet_derivative(x).apply(w1 + w2), summed)
 
 
 def test_gateaux_at_origin_is_the_projection():
@@ -127,7 +128,7 @@ def test_gateaux_at_origin_is_the_projection():
     for _ in range(100):
         w = rng.normal(size=rng.integers(1, 9))
         zero = np.zeros_like(w)
-        assert np.array_equal(cone_gateaux(zero, w), project_cone(w))
+        assert np.array_equal(cone_frechet_derivative(zero).apply(w), project_cone(w))
 
 
 def test_positive_homogeneity():
