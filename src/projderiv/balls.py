@@ -95,8 +95,10 @@ def _offset(ball: Ball, x: Vector) -> Vector:
 def _scaled_offset(ball: Ball, x: Vector, d: Vector) -> tuple[Vector, Vector]:
     """_scaled(d) for d = _offset(ball, x); rows where d overflowed are scaled from x/2 − c/2
     (only they are halved, so subnormal inputs elsewhere keep every bit)."""
+    if np.isfinite(d).all():
+        return _scaled(d)
     far = np.isinf(d).any(axis=-1)
-    s, k = _scaled(np.where(far[..., None], x / 2 - ball.center / 2, d) if far.any() else d)
+    s, k = _scaled(np.where(far[..., None], x / 2 - ball.center / 2, d))
     return s, k + far
 
 

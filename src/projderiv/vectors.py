@@ -59,7 +59,7 @@ def norm(v):
 def _scaled(d: Vector) -> tuple[Vector, Vector]:
     """(d / 2^k, k) row by row, with 2^k just above each row's max |d_i|: exact, and the
     squares of d / 2^k cannot overflow, so at normal magnitudes every result keeps its bits."""
-    k = np.frexp(np.max(np.abs(d), axis=-1, keepdims=True))[1]
+    k = np.frexp(np.abs(d).max(axis=-1, keepdims=True))[1]
     return np.ldexp(d, -k), k[..., 0]
 
 
