@@ -102,6 +102,9 @@ def _scaled_offset(ball: Ball, x: Vector, d: Vector) -> tuple[Vector, Vector]:
     return s, k + far
 
 
+_HUGE = float(np.finfo(np.float64).max)
+
+
 class BallDerivKind(Enum):
     IDENTITY = "identity"
     EXTERIOR = "exterior"
@@ -135,6 +138,18 @@ class BallDeriv:
             raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.dim}")
         if self.kind is BallDerivKind.IDENTITY:
             return w
+        # ‖a‖∞ ∈ [1/2, 1) and ⟨a, a⟩, r_s² ≥ 1/4, so no step exceeds (4n + 1)·‖w‖∞
+        if abs(w).max() <= _HUGE / (4 * self.dim + 1):
+            return self._act(w)
+        # apply(w) = 2^j·apply(w/2^j), on the rows where the unscaled product overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._act(w)
+            s, j = _scaled(w)
+            bad = ~np.isfinite(out).all(axis=-1, keepdims=True)
+            return np.where(bad, np.ldexp(self._act(s), j[..., None]), out)
+
+    def _act(self, w: Vector) -> Vector:
+        """``apply``'s formula on a coerced w, with w as given."""
         a = self.scaled_anchor
         if self.kind is BallDerivKind.EXTERIOR:
             radial = (np.vecdot(w, a) / float(np.dot(a, a)))[..., None] * a

@@ -333,9 +333,10 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         w /= float(norm(w))
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
-    fd = (f(x + h * w) - f(x - h * w)) / (2.0 * h)
-    err = float(norm(fd - deriv.apply(w)))
-    tol = 1e-6 * max(float(norm(deriv.apply(w))), float(norm(w))) if job.ball else 1e-9
+    ahead, behind = f(np.stack((x + h * w, x - h * w)))
+    dw = deriv.apply(w)
+    err = float(norm((ahead - behind) / (2.0 * h) - dw))
+    tol = 1e-6 * max(float(norm(dw)), float(norm(w))) if job.ball else 1e-9
     ok &= _verdict(lines, "fd_match", err <= tol, err, tol)
     return ok
 

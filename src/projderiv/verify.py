@@ -30,7 +30,8 @@ from .vectors import Vector, as_vector, norm, _same_dim, _scaled
 _EPS = float(np.finfo(np.float64).eps)
 # Forward-difference step of every refutation, and the cap on verify's fd_match step
 FD_STEP = 1e-5
-# Coordinates per (pairs, n) stack of the residual scan, whatever samples_per_radius is
+# Coordinates per call of the residual scan's f and deriv: a chunk of pairs is at most this
+# many, and as many radii are evaluated at once as keep the (radii·pairs, n) stack within it
 _CHUNK_COORDS = 2**16
 # Gate of the optimality certificate, in units of 2^k just above the job scale
 CERTIFICATE_GATE = 64.0 * _EPS
@@ -77,12 +78,16 @@ def strict_residual_scan(
     decay toward zero with the radius; a genuine strict-Fréchet derivative
     decays linearly (one decade of radius costs one decade of residual).
     ``f`` and ``deriv`` receive and return (S, n) stacks, one point or
-    difference per row, once per radius and chunk of ≤ ``_CHUNK_COORDS``
-    coordinates.  Each chunk of pairs is drawn once, as unit-ball points
-    ĝ = g/‖g‖·U^(1/n) (exact, and usable at n = 16, where cube rejection
-    accepts ~4e-6 of draws), and every radius evaluates x + ρ·ĝ.  A pair
-    that rounds onto one point is skipped; a radius at which no pair moves
-    the base point in floating point is refused with ValueError.
+    difference per row, once per chunk of pairs and group of radii, at most
+    ``_CHUNK_COORDS`` coordinates per call (all four default radii at once
+    for n ≤ 16 and 64 samples; one radius per call at n = 1000).  Each chunk
+    of pairs is drawn once, as unit-ball points ĝ = g/‖g‖·U^(1/n) (exact,
+    and usable at n = 16, where cube rejection accepts ~4e-6 of draws), and
+    every radius evaluates x + ρ·ĝ; each row is computed as it would be
+    alone, so the grouping changes no bit.  A pair that rounds onto one
+    point is skipped.  A radius is refused with ValueError where max|x_i| + 2ρ
+    leaves the float range (points reach max|x_i| + ρ and their differences
+    2ρ), and where no pair moves the base point in floating point.
     """
     base = as_vector(base)
     radii = tuple(float(r) for r in radii)
@@ -90,35 +95,44 @@ def strict_residual_scan(
         raise ValueError("radii must be positive and finite")
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be at least 1")
+    reach = float(np.max(np.abs(base)))
+    for radius in radii:
+        if not math.isfinite(reach + 2.0 * radius):  # Python floats overflow to inf silently
+            raise ValueError(f"scan radius {radius:.17g} leaves the float range")
     rng = np.random.default_rng(seed)
     dim = base.size
     chunk = max(1, _CHUNK_COORDS // dim)
-    worst = [0.0] * len(radii)
-    moved = [False] * len(radii)
+    rho = np.array(radii)[:, None, None]
+    # scale by 2^-e ≈ 1/radius before squaring: exact, and no overflow at any scale
+    exps = -np.frexp(rho)[1]
+    worst = np.zeros(len(radii))
+    moved = np.zeros(len(radii), dtype=bool)
     for start in range(0, samples_per_radius, chunk):
         g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
         g *= rng.random((len(g), 2, 1)) ** (1.0 / dim) / np.sqrt(np.vecdot(g, g))[..., None]
-        for k, radius in enumerate(radii):
-            points = base + radius * g
-            u, v = points[:, 0], points[:, 1]
+        g = g.transpose(1, 0, 2)[:, None]  # (2, 1, pairs, n): u draws, then v draws
+        group = max(1, _CHUNK_COORDS // g[0].size)
+        for k in range(0, len(radii), group):
+            ks = slice(k, k + group)
+            points = base + rho[ks] * g  # (2, radii, pairs, n), contiguous
+            u, v = points[0].reshape(-1, dim), points[1].reshape(-1, dim)
             diff = u - v
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
             num = num - np.asarray(deriv(diff), dtype=np.float64)
-            # scale by 2^-e ≈ 1/radius before squaring: exact, and no overflow at any scale
-            e = math.frexp(radius)[1]
-            diff, num = np.ldexp(diff, -e), np.ldexp(num, -e)
+            shape, e = points.shape[1:], exps[ks]
+            diff, num = np.ldexp(diff.reshape(shape), e), np.ldexp(num.reshape(shape), e)
             gap = np.sqrt(np.vecdot(diff, diff))
-            moved[k] |= bool(gap.any())
+            moved[ks] |= gap.any(axis=-1)
             top = np.sqrt(np.vecdot(num, num))
             ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
             # fmax: a NaN quotient (inf - inf in f) is skipped, not propagated
-            worst[k] = max(worst[k], float(np.fmax.reduce(ratios, initial=0.0)))
+            worst[ks] = np.fmax(worst[ks], np.fmax.reduce(ratios, axis=-1, initial=0.0))
     for radius, ok in zip(radii, moved):
         if not ok:
             raise ValueError(
                 f"scan radius {radius:.17g} does not move the base point in floating point"
             )
-    return ResidualScan(radii=radii, residuals=tuple(worst))
+    return ResidualScan(radii=radii, residuals=tuple(worst.tolist()))
 
 
 @dataclass(frozen=True)

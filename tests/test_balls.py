@@ -269,6 +269,42 @@ def test_sphere_derivative_is_the_one_sided_derivative(k):
     assert not np.allclose(deriv.apply(up) + deriv.apply(down), deriv.apply(up + down))
 
 
+def unscaled_apply(deriv, w):
+    """``apply``'s formula on w as given, with no rescaling of w."""
+    a = deriv.scaled_anchor
+    side = float(np.dot(w, a))
+    if deriv.kind is BallDerivKind.EXTERIOR:
+        return deriv.scale * (w - (side / float(np.dot(a, a))) * a)
+    return w - (side / deriv.scaled_radius**2) * a if side >= 0.0 else w
+
+
+# ⟨w, a⟩/⟨a, a⟩ overflowed for ‖w‖∞ near 1e308 (apply(w) = [-inf, inf] on a
+# radial w); apply(w) = 2^j·apply(w/2^j) there, and rows that do not overflow keep
+# every bit of the unscaled formula, huge or not
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", [BallDerivKind.EXTERIOR, BallDerivKind.NOT_FRECHET])
+def test_apply_rescales_w_only_where_the_unscaled_product_overflows(kind):
+    ball = Ball(center=[1e308, -1e308], radius=1e308)
+    x = [-1e308, 1e308] if kind is BallDerivKind.EXTERIOR else [0.0, -1e308]
+    deriv = ball_frechet_derivative(ball, x)
+    assert deriv.kind is kind
+    radial = np.sign(deriv.scaled_anchor)  # outward, mapped to 0 on either kind
+    tangent = radial[::-1] * [1.0, -1.0]  # mapped to scale·tangent, or kept on the sphere
+    for m in (1e308, 1.5e308):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(unscaled_apply(deriv, m * radial)).all()
+        assert np.array_equal(deriv.apply(m * radial), [0.0, 0.0])
+    keep = deriv.scale if kind is BallDerivKind.EXTERIOR else 1.0
+    assert np.allclose(deriv.apply(7.5e307 * (radial + tangent)), keep * 7.5e307 * tangent, rtol=1e-15)
+    finite = [1.5e308 * tangent, 5e307 * radial + 1e306 * tangent, [1.0, 2.0], [0.0, 0.0]]
+    stack = np.array([1e308 * radial, *finite, 1.5e308 * radial])
+    applied = deriv.apply(stack)
+    for row, got in zip(stack, applied):
+        assert np.array_equal(got, deriv.apply(row))
+    for row, got in zip(finite, applied[1:-1]):
+        assert np.array_equal(got, unscaled_apply(deriv, np.asarray(row)))
+
+
 def test_gateaux_sphere_direction_classes():
     ball = Ball(center=[0.0, 0.0], radius=1.0)
     x = [1.0, 0.0]

@@ -201,6 +201,16 @@ def test_derive_where_point_and_center_are_too_far_apart(tmp_path, capsys):
     assert out.splitlines()[-1] == "apply(w) = [0, 4.9999999999999995e-309]"
 
 
+# ⟨w, a⟩/⟨a, a⟩ overflowed in w: derive printed apply(w) = [-inf, inf] after a
+# RuntimeWarning; w is radial, so the derivative maps it to 0
+@pytest.mark.filterwarnings("error")
+def test_derive_where_w_is_near_the_float_max(tmp_path, capsys):
+    job = ball_job("derive", [1e308, -1e308], 1e308, inputs={"x": [-1e308, 1e308], "w": [1e308, -1e308]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "apply(w) = [0, 0]"
+
+
 @pytest.mark.filterwarnings("error")
 def test_refute_where_point_and_center_are_too_far_apart(tmp_path, capsys):
     job = ball_job("refute", **FAR_APART, inputs={"x": [1e308, 0]})
@@ -421,6 +431,24 @@ def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, cap
 def test_verify_refuses_an_fd_step_outside_the_float_range(tmp_path, capsys, job, step):
     code, out, err = run(tmp_path, capsys, job)
     assert (code, out, err) == (2, "", f"error: fd_match step {step} leaves the float range\n")
+
+
+# base + radius·g overflowed: both jobs printed a RuntimeWarning before
+# "error: vector coordinates must be finite"
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "job",
+    [
+        {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1e308, -1e308]},
+         "options": {"radii": [1e308]}},
+        ball_job("verify", [1e308, 1e308], 1e308, inputs={"x": [1e308, 1e308]},
+                 options={"radii": [1e308, 1e308], "samples_per_radius": 2}),
+    ],
+    ids=["cone_rn", "ball"],
+)
+def test_verify_refuses_a_scan_radius_outside_the_float_range(tmp_path, capsys, job):
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: scan radius 1e+308 leaves the float range\n")
 
 
 def test_witness_below_square_underflow_keeps_exact_residuals(tmp_path, capsys):
@@ -770,20 +798,39 @@ def fill_slots(template, draw):
     return template
 
 
-# Every length is taken by vectors.norm, so no job at these scales warns; the
-# signs alternate from slot to slot in two of the four patterns.
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("signs", [(1,), (-1,), (1, -1), (-1, 1)])
-@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
-@pytest.mark.parametrize("template", FUZZ_JOBS)
-def test_every_job_at_scale_1e200_and_1e_minus_200_runs_without_a_warning(
-    tmp_path, capsys, template, magnitude, signs
-):
+SIGNS = [(1,), (-1,), (1, -1), (-1, 1)]
+
+
+def run_at_scale(tmp_path, capsys, template, magnitude, signs):
     values = (s * magnitude for s in itertools.cycle(signs))
     job = fill_slots(template, lambda _: next(values))
     code, _, err = run(tmp_path, capsys, job)
     assert code in (0, 1, 2), job
     assert (code == 2) == err.startswith("error: "), (job, err)
+
+
+# Every length is taken by vectors.norm, so no job at these scales warns; the
+# signs alternate from slot to slot in two of the four patterns.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("signs", SIGNS)
+@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+@pytest.mark.parametrize("template", FUZZ_JOBS)
+def test_every_job_at_scale_1e200_and_1e_minus_200_runs_without_a_warning(
+    tmp_path, capsys, template, magnitude, signs
+):
+    run_at_scale(tmp_path, capsys, template, magnitude, signs)
+
+
+# At the top of the float range sums such as x + ρ·g and products such as ⟨w, a⟩
+# overflow where norms do not: the scan refuses such radii, and apply rescales w.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("signs", SIGNS)
+@pytest.mark.parametrize("magnitude", [1e308, 1.5e308])
+@pytest.mark.parametrize("template", FUZZ_JOBS)
+def test_every_job_at_scale_1e308_and_1_5e308_runs_without_a_warning(
+    tmp_path, capsys, template, magnitude, signs
+):
+    run_at_scale(tmp_path, capsys, template, magnitude, signs)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

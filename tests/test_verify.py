@@ -26,6 +26,9 @@ from projderiv.vectors import as_vector
 from projderiv.verify import CERTIFICATE_GATE
 
 
+FLOAT_MAX = float(np.finfo(np.float64).max)
+
+
 def unit(rng, dim):
     v = rng.standard_normal(dim)
     return v / np.linalg.norm(v)
@@ -178,6 +181,67 @@ def test_scan_spanning_several_chunks_matches_reference():
         assert scan.residuals == reference_scan(f, deriv, base, radii, samples, seed)
 
 
+# The scan with one radius per stacked call, as it was before radii were
+# grouped, from the same bulk stream.  The grouped scan must match it bit for bit.
+def per_radius_scan(f, deriv, base, radii, samples_per_radius, seed):
+    base = as_vector(base)
+    rng = np.random.default_rng(seed)
+    dim = base.size
+    chunk = max(1, verify._CHUNK_COORDS // dim)
+    worst = [0.0] * len(radii)
+    for start in range(0, samples_per_radius, chunk):
+        g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
+        g *= rng.random((len(g), 2, 1)) ** (1.0 / dim) / np.sqrt(np.vecdot(g, g))[..., None]
+        for k, radius in enumerate(radii):
+            points = base + radius * g
+            u, v = points[:, 0], points[:, 1]
+            diff = u - v
+            num = f(u) - f(v) - deriv(diff)
+            e = math.frexp(radius)[1]
+            diff, num = np.ldexp(diff, -e), np.ldexp(num, -e)
+            gap = np.sqrt(np.vecdot(diff, diff))
+            top = np.sqrt(np.vecdot(num, num))
+            ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
+            worst[k] = max(worst[k], float(np.fmax.reduce(ratios, initial=0.0)))
+    return tuple(worst)
+
+
+# (n, samples, radii): the radii per call in each chunk of pairs is
+# max(1, 2^16 // (pairs·n)), so these take groups of 3 + 2 (one chunk of 20000
+# pairs); one group (n = 2, 16); 1 radius per call in chunks of 4096 pairs, then
+# 4 + 2 in one of 904; and 1 per call in chunks of 65 pairs, then 3 in one of 5.
+GROUPING_CASES = [(1, 20000, 5), (2, 64, 4), (16, 64, 4), (16, 5000, 6), (1000, 200, 3)]
+
+
+@pytest.mark.parametrize("case", ["ball_exterior", "ball_sphere", "cone_mixed"])
+@pytest.mark.parametrize("n,samples,count", GROUPING_CASES)
+def test_grouped_radii_match_one_radius_per_call_bit_for_bit(case, n, samples, count):
+    f, deriv, base = _parity_case(case, n)  # cone_mixed at n = 1 is the positive orthant
+    radii = tuple(1e-2 * 10.0**-k for k in range(count))
+    for seed in (0, 7):
+        scan = strict_residual_scan(f, deriv, base, radii, samples, seed)
+        assert scan.residuals == per_radius_scan(f, deriv, base, radii, samples, seed)
+
+
+def test_scan_calls_f_twice_and_deriv_once_per_chunk():
+    f, deriv, base = _parity_case("ball_exterior", 16)
+    calls = []
+
+    def counted(name, g):
+        def call(stack):
+            calls.append((name, stack.shape))
+            return g(stack)
+        return call
+
+    strict_residual_scan(counted("f", f), counted("deriv", deriv), base, seed=1)
+    rows = 4 * 64  # the four default radii times the 64 default pairs, in one chunk
+    assert calls == [("f", (rows, 16)), ("f", (rows, 16)), ("deriv", (rows, 16))]
+    calls.clear()
+    strict_residual_scan(counted("f", f), counted("deriv", deriv), base, samples_per_radius=5000)
+    assert len(calls) == 3 * 4 + 3  # 4096 pairs: a call per radius; 904 pairs: all four
+    assert max(rows * cols for _, (rows, cols) in calls) <= verify._CHUNK_COORDS
+
+
 def _ball_at_one():
     ball = Ball(center=[0.0], radius=0.5)
     return (lambda p: project_ball(ball, p)), ball_frechet_derivative(ball, [1.0]).apply
@@ -197,6 +261,28 @@ def test_scan_refuses_a_radius_that_moves_no_pair():
     message = f"scan radius {1e-20:.17g} does not move the base point in floating point"
     with pytest.raises(ValueError, match=re.escape(message)):
         strict_residual_scan(f, deriv, [1.0], radii=(1e-2, 1e-20), seed=3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "base,radius", [([1e308, -1e308], 1e308), ([0.0], 1.5e308), ([1e-300, -1e-300], 0.51 * FLOAT_MAX)]
+)
+def test_scan_refuses_a_radius_beyond_the_float_range_before_forming_a_point(base, radius):
+    # points reach max|x_i| + ρ and their differences 2ρ; x + ρ·g overflowed with a warning
+    def f(p):
+        raise AssertionError("no point may be formed")
+
+    message = f"scan radius {radius:.17g} leaves the float range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strict_residual_scan(f, f, base, radii=(1e-2, radius))
+
+
+@pytest.mark.filterwarnings("error")
+def test_scan_at_the_largest_radius_in_range_runs_without_a_warning():
+    x = np.array([1e-300, -1e-300])
+    deriv = cone_frechet_derivative(x).apply
+    scan = strict_residual_scan(project_cone, deriv, x, radii=(0.49 * FLOAT_MAX,), seed=2)
+    assert 0.0 < scan.residuals[0] <= 1.0  # each coordinate of P − A is 1-Lipschitz
 
 
 # |k| ≥ 600 reaches the points whose squared differences overflow or underflow,
