@@ -25,7 +25,6 @@ from .balls import (
     Ball,
     BallDerivKind,
     ball_frechet_derivative,
-    ball_gateaux_sphere,
     classify_ball,
     project_ball,
     _offset,
@@ -223,6 +222,11 @@ def _projection(job: JobSpec):
     return project_cone if job.set_kind == "cone_rn" else project_cone_l2
 
 
+def _derivative(job: JobSpec, x):
+    """The derivative object of the projection at x, on a ball or cone_rn."""
+    return ball_frechet_derivative(job.ball, x) if job.ball else cone_frechet_derivative(x)
+
+
 def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: float) -> bool:
     lines.append(
         f"VERDICT {op} {'pass' if ok else 'fail'} {_fmt(measured)} {_fmt(threshold)}"
@@ -257,7 +261,7 @@ def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
             "derive is not available for cone_l2 (the projection is nowhere Fréchet "
             "differentiable); use gateaux or witness"
         )
-    deriv = ball_frechet_derivative(job.ball, x) if job.ball else cone_frechet_derivative(x)
+    deriv = _derivative(job, x)
     lines.append(f"kind = {deriv.kind.value}")
     lines.append(f"linear = {str(deriv.is_linear).lower()}")
     if deriv.kind is BallDerivKind.EXTERIOR:
@@ -276,16 +280,17 @@ def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
 
 def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
     x, w = _need(job, "x"), _need(job, "w")
-    if job.set_kind == "ball":
-        result = ball_gateaux_sphere(job.ball, x, w)
-        side = np.vecdot(w, ball_frechet_derivative(job.ball, x).scaled_anchor)  # as in apply
+    if job.set_kind == "cone_l2":
+        lines.append(f"result = {_fmt(l2_gateaux(x, w))}")
+        return
+    deriv = _derivative(job, x)
+    if job.ball and deriv.is_linear:
+        raise JobError("base point must lie on the sphere")
+    _same_dim(x, w)
+    if job.ball:
+        side = np.vecdot(w, deriv.scaled_anchor)  # as in apply
         lines.append(f"direction_class = {'outward_or_tangent' if side >= 0 else 'inward'}")
-    elif job.set_kind == "cone_rn":
-        _same_dim(x, w)
-        result = cone_frechet_derivative(x).apply(w)
-    else:
-        result = l2_gateaux(x, w)
-    lines.append(f"result = {_fmt(result)}")
+    lines.append(f"result = {_fmt(deriv.apply(w))}")
 
 
 def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
@@ -303,19 +308,11 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if job.set_kind == "cone_l2":
         return ok
 
-    if job.ball:
-        deriv = ball_frechet_derivative(job.ball, x)
-        if not deriv.is_linear:
-            raise JobError("x lies on the sphere, where no derivative exists; use refute")
-        region_gap = abs(classify_ball(job.ball, x).signed_gap)
-        h = min(FD_STEP * (1.0 + float(norm(x))), region_gap / 4.0)
-    else:
-        deriv = cone_frechet_derivative(x)
-        if not deriv.is_linear:
-            raise JobError("x has a zero coordinate, where no derivative exists; use refute")
-        region_gap = float(np.min(np.abs(x)))
-        h = min(FD_STEP, region_gap / 16.0)
-
+    deriv = _derivative(job, x)
+    if not deriv.is_linear:
+        where = "lies on the sphere" if job.ball else "has a zero coordinate"
+        raise JobError(f"x {where}, where no derivative exists; use refute")
+    region_gap = abs(classify_ball(job.ball, x).signed_gap) if job.ball else float(np.min(np.abs(x)))
     top = min(1e-2, region_gap / 4.0)  # region_gap > 0: x is off the sphere and has no zero
     radii = job.options.get("radii", tuple(top * 10.0**-k for k in range(4)))
     samples = job.options.get("samples_per_radius", 64)
@@ -331,6 +328,9 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
+    # ‖h·w‖ ≤ region_gap/2, so x ± h·w keeps x's signs and its side of the sphere; a unit w
+    # (the default, whose computed norm may round above 1) keeps its step unscaled
+    h = min(FD_STEP * (1.0 + float(norm(x))), region_gap / 4.0) / max(1.0, float(norm(w)) / 2.0)
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
     ahead, behind = f(np.stack((x + h * w, x - h * w)))

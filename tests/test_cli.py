@@ -407,7 +407,7 @@ def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, cap
             "options": {"seed": 4, "radii": [2.0 * scale, 0.2 * scale]},
         }
         code, out, err = run(tmp_path, capsys, job)
-        assert code != 2 and err == ""
+        assert (code, err) == (0, "")  # fd_match failed at 2^890 while its step was capped at 1e-5
         return [line.split(" residual=")[1] for line in out.splitlines() if line.startswith("scan ")]
 
     unit = residuals(1.0)
@@ -422,7 +422,7 @@ def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, cap
         # ‖x‖ and the gap to the sphere are inf, and so is 1e-5·(1 + ‖x‖)
         (ball_job("verify", [0, 0], 1, inputs={"x": [1.5e308, 1.5e308], "w": [1, 0]},
                   options={"radii": [1e300], "samples_per_radius": 2}), "inf"),
-        # min |x_i| / 16 rounds to 0
+        # min |x_i| / 4 rounds to 0
         ({"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [5e-324, -5e-324]},
           "options": {"radii": [5e-324], "samples_per_radius": 2}}, "0"),
     ],
@@ -431,6 +431,38 @@ def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, cap
 def test_verify_refuses_an_fd_step_outside_the_float_range(tmp_path, capsys, job, step):
     code, out, err = run(tmp_path, capsys, job)
     assert (code, out, err) == (2, "", f"error: fd_match step {step} leaves the float range\n")
+
+
+# the cone_rn step was min(1e-5, min|x_i|/16), which is not scaled to x: from
+# k = 7 (x = [128, -128, 384]) to k = 37 fd_match failed; from k = 38 on the
+# absolute scan radii no longer move x
+@pytest.mark.parametrize("k", range(-60, 38))
+def test_verify_cone_rn_passes_at_2_pow_k(tmp_path, capsys, k):
+    x = [math.ldexp(v, k) for v in (1.0, -1.0, 3.0)]
+    code, out, err = run(tmp_path, capsys, {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": x}})
+    assert (code, err) == (0, "")
+    verdicts = [line.split()[1:3] for line in out.splitlines() if line.startswith("VERDICT")]
+    assert verdicts == [["oracle_agreement", "pass"], ["strict_decay", "pass"], ["fd_match", "pass"]]
+
+
+# a w longer than 1 carried x ± h·w across the region boundary: the ball job
+# printed "VERDICT fd_match fail 25.012493753126968 9.9999999999999991e-05".  The
+# cone_rn job fails (0.5 against 1e-09) if h is not bounded by w's length, and the
+# dense ball job (‖w‖∞ = 1, ‖w‖ = 10) if h is bounded by ‖w‖∞ only
+@pytest.mark.parametrize(
+    "job",
+    [
+        ball_job("verify", [0, 0], 1, inputs={"x": [1.001, 0], "w": [100, 0]}),
+        {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1e-3, 1e3], "w": [-5, 0]}},
+        ball_job("verify", [0] * 100, 1, inputs={"x": [0.100001] * 100, "w": [1] * 100},
+                 options={"radii": [1e-6], "samples_per_radius": 2}),
+    ],
+    ids=["ball", "cone_rn", "ball-dense-w"],
+)
+def test_verify_fd_match_with_a_long_direction(tmp_path, capsys, job):
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("VERDICT fd_match pass ")
 
 
 # base + radius·g overflowed: both jobs printed a RuntimeWarning before

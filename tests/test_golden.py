@@ -23,6 +23,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXPECTED = json.loads((GOLDEN / "expected.json").read_text())
 
 
+def test_golden_corpus_is_closed():
+    # a job without an expected.json entry or an .out file would drop out of
+    # test_golden_report and replay_golden.py without a failure
+    jobs = {p.stem for p in GOLDEN.glob("*.json")} - {"expected"}
+    reports = {p.stem for p in GOLDEN.glob("*.out")}
+    assert jobs == set(EXPECTED) == reports
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_golden_report(name, capsys):
     code = main(["--job", str(GOLDEN / f"{name}.json")])
@@ -36,7 +44,7 @@ def test_golden_report(name, capsys):
 # radius and d by 2^k scales every length in a report by exactly 2^k and leaves
 # every dimensionless number (ratios, derivatives applied to the direction w,
 # indices, steps) and every word as it is.  verify is left out: its default scan
-# radii and fd_match step are absolute.
+# radii are absolute, and its fd_match step is 1e-5·(1 + ‖x‖).
 SCALE_JOBS = sorted(
     name
     for name, want in EXPECTED.items()
