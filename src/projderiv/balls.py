@@ -126,6 +126,7 @@ class BallDeriv:
     scaled_anchor: Vector | None = None  # anchor / 2^k (see _scaled): r² fails beyond ~1e±154
     scale: float | None = None  # radius / ‖anchor‖, exterior points only
     scaled_radius: float | None = None  # radius / 2^k, sphere points only
+    smooth_radius: float = 0.0  # δ = |‖x − c‖ − r| off the sphere; the map is C¹ on B(x, δ)
 
     @property
     def is_linear(self) -> bool:
@@ -164,8 +165,9 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     points rather than an error, as non-differentiability there is a result, not a failure."""
     x = as_vector(x)
     region = classify_ball(ball, x)
+    gap = abs(region.signed_gap)  # the smooth radius off the sphere
     if region.tag is BallRegionTag.INTERIOR:
-        return BallDeriv(kind=BallDerivKind.IDENTITY, dim=x.size)
+        return BallDeriv(BallDerivKind.IDENTITY, x.size, smooth_radius=gap)
     anchor = _offset(ball, x)
     scaled, k = _scaled_offset(ball, x, anchor)
     anchor.flags.writeable = scaled.flags.writeable = False
@@ -173,7 +175,7 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
         r = math.ldexp(ball.radius, -int(k))
         return BallDeriv(BallDerivKind.NOT_FRECHET, x.size, anchor, scaled, scaled_radius=r)
     scale = math.ldexp(ball.radius / float(norm(scaled)), -int(k))
-    return BallDeriv(BallDerivKind.EXTERIOR, x.size, anchor, scaled, scale)
+    return BallDeriv(BallDerivKind.EXTERIOR, x.size, anchor, scaled, scale, smooth_radius=gap)
 
 
 def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:

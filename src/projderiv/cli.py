@@ -33,7 +33,6 @@ from .orthant import (
     ConeDerivKind,
     cone_frechet_derivative,
     cone_refute_frechet,
-    classify_cone,
     project_cone,
     sign_partition,
 )
@@ -245,8 +244,8 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
         lines.append(f"region = {region.tag.value}")
         lines.append(f"signed_gap = {_fmt(region.signed_gap)}")
     elif job.set_kind == "cone_rn":
-        lines.append(f"region = {classify_cone(x).value}")
         part = sign_partition(x)
+        lines.append(f"region = {part.region.value}")
         for name, mask in (("plus", part.plus), ("minus", part.minus), ("zero", part.zero)):
             lines.append(f"{name} = {np.flatnonzero(mask).tolist()}")
     else:
@@ -312,9 +311,12 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if not deriv.is_linear:
         where = "lies on the sphere" if job.ball else "has a zero coordinate"
         raise JobError(f"x {where}, where no derivative exists; use refute")
-    region_gap = abs(classify_ball(job.ball, x).signed_gap) if job.ball else float(np.min(np.abs(x)))
-    top = min(1e-2, region_gap / 4.0)  # region_gap > 0: x is off the sphere and has no zero
-    radii = job.options.get("radii", tuple(top * 10.0**-k for k in range(4)))
+    delta = deriv.smooth_radius  # > 0: x is off the sphere and has no zero
+    radii = job.options.get("radii", tuple(min(1e-2, delta / 4.0) * 10.0**-k for k in range(4)))
+    if 0.0 in radii:  # only a default radius can be 0, where δ/4·10^-k underflows
+        raise JobError(
+            f"default scan radii round to 0 at smooth radius {_fmt(delta)}; supply option radii"
+        )
     samples = job.options.get("samples_per_radius", 64)
     scan = strict_residual_scan(
         f, deriv.apply, x, radii=radii, samples_per_radius=samples, seed=seed
@@ -328,9 +330,9 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
-    # ‖h·w‖ ≤ region_gap/2, so x ± h·w keeps x's signs and its side of the sphere; a unit w
+    # ‖h·w‖ ≤ δ/2, so x ± h·w keeps x's signs and its side of the sphere; a unit w
     # (the default, whose computed norm may round above 1) keeps its step unscaled
-    h = min(FD_STEP * (1.0 + float(norm(x))), region_gap / 4.0) / max(1.0, float(norm(w)) / 2.0)
+    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0) / max(1.0, float(norm(w)) / 2.0)
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
     ahead, behind = f(np.stack((x + h * w, x - h * w)))

@@ -28,6 +28,14 @@ class SignPartition:
     minus: np.ndarray
     zero: np.ndarray
 
+    @property
+    def region(self) -> ConeRegion:
+        if self.zero.any():
+            return ConeRegion.HAS_ZERO
+        if not self.minus.any():
+            return ConeRegion.INTERIOR
+        return ConeRegion.MIXED_SIGNS if self.plus.any() else ConeRegion.NEGATIVE_INTERIOR
+
 
 def sign_partition(x) -> SignPartition:
     x = as_vector(x)
@@ -45,17 +53,7 @@ class ConeRegion(Enum):
 
 
 def classify_cone(x) -> ConeRegion:
-    return _region_of(sign_partition(x))
-
-
-def _region_of(partition: SignPartition) -> ConeRegion:
-    if partition.zero.any():
-        return ConeRegion.HAS_ZERO
-    if not partition.minus.any():
-        return ConeRegion.INTERIOR
-    if not partition.plus.any():
-        return ConeRegion.NEGATIVE_INTERIOR
-    return ConeRegion.MIXED_SIGNS
+    return sign_partition(x).region
 
 
 def project_cone(x) -> Vector:
@@ -79,10 +77,13 @@ class ConeDeriv:
     still works — it evaluates the one-sided directional derivative, which
     keeps positive-side growth on zero coordinates — but the map is only
     positively homogeneous, not additive, so it has no matrix.
+    ``smooth_radius`` is min |x_i|: the open ball of that radius around x keeps every sign
+    of x, so the projection is affine on it; it is 0 exactly where a coordinate is zero.
     """
 
     kind: ConeDerivKind
     partition: SignPartition
+    smooth_radius: float
 
     @property
     def is_linear(self) -> bool:
@@ -105,15 +106,14 @@ class ConeDeriv:
 
 def cone_frechet_derivative(x) -> ConeDeriv:
     """Derivative structure at x, chosen by sign pattern."""
-    partition = sign_partition(x)
-    region = _region_of(partition)
+    partition = sign_partition(x)  # coerces and checks x, so |x_i| below need no second copy
     kind = {
         ConeRegion.INTERIOR: ConeDerivKind.IDENTITY,
         ConeRegion.NEGATIVE_INTERIOR: ConeDerivKind.ZERO,
         ConeRegion.MIXED_SIGNS: ConeDerivKind.MASK,
         ConeRegion.HAS_ZERO: ConeDerivKind.DIRECTIONAL_ONLY,
-    }[region]
-    return ConeDeriv(kind=kind, partition=partition)
+    }[partition.region]
+    return ConeDeriv(kind, partition, float(np.min(np.abs(np.asarray(x, dtype=np.float64)))))
 
 
 def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:

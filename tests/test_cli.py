@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import projderiv
 from projderiv import GeometricTail, SeqVector
 from projderiv.cli import fmt_seq, fmt_vec, main
 
@@ -431,6 +433,59 @@ def test_verify_scan_residuals_at_scale_2_pow_890_match_unit_scale(tmp_path, cap
 def test_verify_refuses_an_fd_step_outside_the_float_range(tmp_path, capsys, job, step):
     code, out, err = run(tmp_path, capsys, job)
     assert (code, out, err) == (2, "", f"error: fd_match step {step} leaves the float range\n")
+
+
+# δ/4·10^-3 rounded to 0, and the scan refused an option the job never set:
+# "error: radii must be positive and finite"
+@pytest.mark.parametrize(
+    "job,delta",
+    [
+        ({"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 5e-324]}},
+         "4.9406564584124654e-324"),
+        ({"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 4e-323]}},
+         "3.9525251667299724e-323"),
+        (ball_job("verify", [0, 0], 5e-324, inputs={"x": [1e-323, 0]}), "4.9406564584124654e-324"),
+    ],
+    ids=["cone_rn-5e-324", "cone_rn-4e-323", "ball-5e-324"],
+)
+def test_verify_refuses_default_radii_that_underflow(tmp_path, capsys, job, delta):
+    code, out, err = run(tmp_path, capsys, job)
+    want = f"error: default scan radii round to 0 at smooth radius {delta}; supply option radii\n"
+    assert (code, out, err) == (2, "", want)
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the calls of projderiv's function `name` through every projderiv.* namespace
+    that holds it, as the traced benchmark counts them (cli imports its functions by name)."""
+    original, calls = getattr(projderiv, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "projderiv" or module_name.startswith("projderiv."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+# verify classified a ball point twice (the derivative, then the scan radii), and
+# classify split a cone_rn point by sign twice (the region, then the masks)
+@pytest.mark.parametrize(
+    "job,name",
+    [
+        (ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}), "classify_ball"),
+        (ball_job("verify", [0, 0], 1, inputs={"x": [0.5, 0]}), "classify_ball"),
+        ({"command": "classify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2, 0]}}, "sign_partition"),
+    ],
+    ids=["ball-verify-exterior", "ball-verify-interior", "cone_rn-classify"],
+)
+def test_a_job_classifies_its_point_once(tmp_path, capsys, monkeypatch, job, name):
+    calls = count_calls(monkeypatch, name)
+    code, _, err = run(tmp_path, capsys, job)
+    assert (code, err, len(calls)) == (0, "", 1)
 
 
 # the cone_rn step was min(1e-5, min|x_i|/16), which is not scaled to x: from
