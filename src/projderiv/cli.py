@@ -226,10 +226,16 @@ def _derivative(job: JobSpec, x):
     return ball_frechet_derivative(job.ball, x) if job.ball else cone_frechet_derivative(x)
 
 
+def _direction(job: JobSpec, x, key: str):
+    """Dense input w or d, if the job has it, checked against x's dimension."""
+    v = job.inputs.get(key)
+    if v is not None:
+        _same_dim(x, v)
+    return v
+
+
 def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: float) -> bool:
-    lines.append(
-        f"VERDICT {op} {'pass' if ok else 'fail'} {_fmt(measured)} {_fmt(threshold)}"
-    )
+    lines.append(f"VERDICT {op} {'pass' if ok else 'fail'} {_fmt(measured)} {_fmt(threshold)}")
     return ok
 
 
@@ -254,12 +260,12 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
 
 def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
     x = _need(job, "x")
-    w = job.inputs.get("w")
     if job.set_kind == "cone_l2":
         raise JobError(
             "derive is not available for cone_l2 (the projection is nowhere Fréchet "
             "differentiable); use gateaux or witness"
         )
+    w = _direction(job, x, "w")
     deriv = _derivative(job, x)
     lines.append(f"kind = {deriv.kind.value}")
     lines.append(f"linear = {str(deriv.is_linear).lower()}")
@@ -307,6 +313,7 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     if job.set_kind == "cone_l2":
         return ok
 
+    w = _direction(job, x, "w")
     deriv = _derivative(job, x)
     if not deriv.is_linear:
         where = "lies on the sphere" if job.ball else "has a zero coordinate"
@@ -318,15 +325,12 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
             f"default scan radii round to 0 at smooth radius {_fmt(delta)}; supply option radii"
         )
     samples = job.options.get("samples_per_radius", 64)
-    scan = strict_residual_scan(
-        f, deriv.apply, x, radii=radii, samples_per_radius=samples, seed=seed
-    )
+    scan = strict_residual_scan(f, deriv.apply, x, radii, samples, seed)
     for radius, residual in zip(scan.radii, scan.residuals):
         lines.append(f"scan radius={_fmt(radius)} residual={_fmt(residual)}")
     ratio = scan.worst_decay_ratio()
     ok &= _verdict(lines, "strict_decay", ratio <= 0.5, ratio, 0.5)
 
-    w = job.inputs.get("w")
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
@@ -348,7 +352,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     step = min(job.options.get("steps", (FD_STEP,)))  # only the smallest step is used
     if job.set_kind == "cone_l2":
         raise JobError("refute applies to ball and cone_rn; for cone_l2 use witness")
-    d = job.inputs.get("d")
+    d = _direction(job, x, "d")
     cone_axis = job.set_kind == "cone_rn" and d is None
     if cone_axis:
         try:
@@ -374,8 +378,7 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     if job.set_kind != "cone_l2":
         raise JobError("witness applies to cone_l2 only")
     x = _need(job, "x")
-    has_n = "n" in job.inputs
-    has_eps = "epsilon" in job.inputs
+    has_n, has_eps = "n" in job.inputs, "epsilon" in job.inputs
     if has_n == has_eps:
         raise JobError("witness needs exactly one of inputs n (derivative) or epsilon (interior)")
     if has_n:

@@ -18,6 +18,7 @@ report depends only on the seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,9 +31,12 @@ from .vectors import Vector, as_vector, norm, _same_dim, _scaled
 _EPS = float(np.finfo(np.float64).eps)
 # Forward-difference step of every refutation, and the cap on verify's fd_match step
 FD_STEP = 1e-5
-# Coordinates per call of the residual scan's f and deriv: a chunk of pairs is at most this
-# many, and as many radii are evaluated at once as keep the (radii·pairs, n) stack within it
+# The residual scan draws its pairs in chunks of _CHUNK_COORDS coordinates per point (which
+# fixes the random stream, and so every report) and calls f and deriv on _CALL_COORDS at most:
+# a 64 KiB stack stays in L2, and no temporary passes glibc's 128 KiB mmap threshold, past
+# which each goes back to the OS when freed and faults in again (~1,900 per scan at n = 1000)
 _CHUNK_COORDS = 2**16
+_CALL_COORDS = 2**13
 # Gate of the optimality certificate, in units of 2^k just above the job scale
 CERTIFICATE_GATE = 64.0 * _EPS
 
@@ -77,17 +81,17 @@ def strict_residual_scan(
     around the base point.  A derivative candidate A passes when residuals
     decay toward zero with the radius; a genuine strict-Fréchet derivative
     decays linearly (one decade of radius costs one decade of residual).
-    ``f`` and ``deriv`` receive and return (S, n) stacks, one point or
-    difference per row, once per chunk of pairs and group of radii, at most
-    ``_CHUNK_COORDS`` coordinates per call (all four default radii at once
-    for n ≤ 16 and 64 samples; one radius per call at n = 1000).  Each chunk
-    of pairs is drawn once, as unit-ball points ĝ = g/‖g‖·U^(1/n) (exact,
-    and usable at n = 16, where cube rejection accepts ~4e-6 of draws), and
-    every radius evaluates x + ρ·ĝ; each row is computed as it would be
-    alone, so the grouping changes no bit.  A pair that rounds onto one
-    point is skipped.  A radius is refused with ValueError where max|x_i| + 2ρ
-    leaves the float range (points reach max|x_i| + ρ and their differences
-    2ρ), and where no pair moves the base point in floating point.
+    Pairs are drawn in chunks of ``_CHUNK_COORDS`` coordinates per point, as
+    unit-ball points ĝ = g/‖g‖·U^(1/n) (exact, and usable at n = 16, where
+    cube rejection accepts ~4e-6 of draws); each radius evaluates x + ρ·ĝ.
+    ``f`` and ``deriv`` take and return (S, n) stacks of at most
+    ``_CALL_COORDS`` coordinates (or one row): a group of radii where a chunk
+    of pairs fits (all four default radii for n ≤ 16 and 64 samples), else one
+    radius and max(1, 2^13 // n) pairs (8 at n = 1000).  Each row is computed
+    as it would be alone, so the blocking changes no bit.  A pair that rounds
+    onto one point is skipped.  A radius is refused with ValueError where
+    max|x_i| + 2ρ leaves the float range (points reach max|x_i| + ρ and their
+    differences 2ρ), and where no pair moves the base point in floating point.
     """
     base = as_vector(base)
     radii = tuple(float(r) for r in radii)
@@ -101,7 +105,8 @@ def strict_residual_scan(
             raise ValueError(f"scan radius {radius:.17g} leaves the float range")
     rng = np.random.default_rng(seed)
     dim = base.size
-    chunk = max(1, _CHUNK_COORDS // dim)
+    chunk = max(1, _CHUNK_COORDS // dim)  # pairs per draw
+    rows = max(1, _CALL_COORDS // dim)  # pairs per call
     rho = np.array(radii)[:, None, None]
     # scale by 2^-e ≈ 1/radius before squaring: exact, and no overflow at any scale
     exps = -np.frexp(rho)[1]
@@ -111,22 +116,25 @@ def strict_residual_scan(
         g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
         g *= rng.random((len(g), 2, 1)) ** (1.0 / dim) / np.sqrt(np.vecdot(g, g))[..., None]
         g = g.transpose(1, 0, 2)[:, None]  # (2, 1, pairs, n): u draws, then v draws
-        group = max(1, _CHUNK_COORDS // g[0].size)
-        for k in range(0, len(radii), group):
-            ks = slice(k, k + group)
-            points = base + rho[ks] * g  # (2, radii, pairs, n), contiguous
+        pairs = g.shape[2]
+        group = max(1, rows // pairs)  # radii per call, where a call takes every pair
+        sq = np.empty((2, len(radii), pairs))  # ‖u − v‖² and ‖residual‖², scaled by 2^2e
+        for k, b in itertools.product(range(0, len(radii), group), range(0, pairs, rows)):
+            ks, bs = slice(k, k + group), slice(b, b + rows)
+            points = rho[ks] * g[:, :, bs]
+            points += base  # (2, radii, rows, n): at most 128 KiB
             u, v = points[0].reshape(-1, dim), points[1].reshape(-1, dim)
             diff = u - v
             num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
             num = num - np.asarray(deriv(diff), dtype=np.float64)
-            shape, e = points.shape[1:], exps[ks]
-            diff, num = np.ldexp(diff.reshape(shape), e), np.ldexp(num.reshape(shape), e)
-            gap = np.sqrt(np.vecdot(diff, diff))
-            moved[ks] |= gap.any(axis=-1)
-            top = np.sqrt(np.vecdot(num, num))
-            ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
-            # fmax: a NaN quotient (inf - inf in f) is skipped, not propagated
-            worst[ks] = np.fmax(worst[ks], np.fmax.reduce(ratios, axis=-1, initial=0.0))
+            for out, a in zip(sq, (diff, num)):
+                s = np.ldexp(a.reshape(points.shape[1:]), exps[ks])
+                np.vecdot(s, s, out=out[ks, bs])
+        gap, top = np.sqrt(sq)
+        moved |= gap.any(axis=-1)
+        ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
+        # fmax: a NaN quotient (inf - inf in f) is skipped, not propagated
+        worst = np.fmax(worst, np.fmax.reduce(ratios, axis=-1, initial=0.0))
     for radius, ok in zip(radii, moved):
         if not ok:
             raise ValueError(

@@ -177,6 +177,30 @@ def test_gateaux_refuses_a_direction_of_the_wrong_length(tmp_path, capsys, set_s
     assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
 
 
+# verify and refute printed numpy's "operands could not be broadcast" (verify after its
+# whole scan), and derive its deriv.apply's "3 vs 2", the other way round
+@pytest.mark.parametrize("command,key", [("verify", "w"), ("refute", "d"), ("derive", "w")])
+@pytest.mark.parametrize(
+    "set_spec,x",
+    [({"kind": "ball", "center": [0, 0], "radius": 1}, [2, 0]), ({"kind": "cone_rn"}, [2, -1])],
+    ids=["ball", "cone_rn"],
+)
+@pytest.mark.parametrize("direction", [[1, 0, 0], [1]], ids=["longer", "shorter"])
+def test_every_dense_direction_of_the_wrong_length_is_refused_alike(
+    tmp_path, capsys, command, key, set_spec, x, direction
+):
+    job = {"command": command, "set": set_spec, "inputs": {"x": x, key: direction}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", f"error: dimension mismatch: 2 vs {len(direction)}\n")
+
+
+def test_derive_at_a_sphere_point_refuses_a_direction_of_the_wrong_length(tmp_path, capsys):
+    # printed "apply = unavailable" and exited 0
+    job = ball_job("derive", [0, 0], 1, inputs={"x": [1, 0], "w": [1, 0, 0]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: dimension mismatch: 2 vs 3\n")
+
+
 @pytest.mark.parametrize(
     "w,result", [([-1e-200, 0], "[-9.9999999999999998e-201, 0]"), ([-1e-300, 1], "[-1e-300, 1]")]
 )

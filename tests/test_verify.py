@@ -206,21 +206,39 @@ def per_radius_scan(f, deriv, base, radii, samples_per_radius, seed):
     return tuple(worst)
 
 
-# (n, samples, radii): the radii per call in each chunk of pairs is
-# max(1, 2^16 // (pairs·n)), so these take groups of 3 + 2 (one chunk of 20000
-# pairs); one group (n = 2, 16); 1 radius per call in chunks of 4096 pairs, then
-# 4 + 2 in one of 904; and 1 per call in chunks of 65 pairs, then 3 in one of 5.
-GROUPING_CASES = [(1, 20000, 5), (2, 64, 4), (16, 64, 4), (16, 5000, 6), (1000, 200, 3)]
+# (n, samples, radii): a call takes max(1, 2^13 // n) rows.  Where a chunk of
+# pairs fits in one call, it takes max(1, rows // pairs) radii of it at once,
+# else one radius and at most `rows` pairs.  So these take one chunk of 20000
+# pairs in blocks of 8192, 8192 and 3616; all radii in one call (n = 2, 16);
+# 2 + 2 + 1 radii per call of 200 pairs; chunks of 4096 and 904 pairs in
+# blocks of 512; chunks of 65 pairs in blocks of 8 and 1, then one of 5.
+GROUPING_CASES = [
+    (1, 20000, 5), (2, 64, 4), (16, 64, 4), (16, 200, 5), (16, 5000, 6), (1000, 200, 3)
+]
+# The scan in calls smaller than a chunk: one radius per call where the parent
+# of this blocking grouped all four (n = 100); one chunk of 61 pairs, in blocks
+# of 8 and a short one of 5; chunks of 21, 21 and 8 pairs in blocks of 2; and
+# chunks of 6, 6 and 1 pairs, one row per call.
+BLOCKED_CASES = [(100, 64, 4), (1000, 61, 4), (3000, 50, 2), (10**4, 13, 2)]
 
 
 @pytest.mark.parametrize("case", ["ball_exterior", "ball_sphere", "cone_mixed"])
-@pytest.mark.parametrize("n,samples,count", GROUPING_CASES)
+@pytest.mark.parametrize("n,samples,count", GROUPING_CASES + BLOCKED_CASES)
 def test_grouped_radii_match_one_radius_per_call_bit_for_bit(case, n, samples, count):
     f, deriv, base = _parity_case(case, n)  # cone_mixed at n = 1 is the positive orthant
     radii = tuple(1e-2 * 10.0**-k for k in range(count))
     for seed in (0, 7):
         scan = strict_residual_scan(f, deriv, base, radii, samples, seed)
         assert scan.residuals == per_radius_scan(f, deriv, base, radii, samples, seed)
+
+
+@pytest.mark.parametrize("case", ["ball_exterior", "ball_interior", "cone_mixed"])
+@pytest.mark.parametrize("n,samples,count", BLOCKED_CASES)
+def test_blocked_scan_matches_pairwise_reference_bit_for_bit(case, n, samples, count):
+    f, deriv, base = _parity_case(case, n)
+    radii = tuple(1e-2 * 10.0**-k for k in range(count))
+    scan = strict_residual_scan(f, deriv, base, radii, samples, seed=3)
+    assert scan.residuals == reference_scan(f, deriv, base, radii, samples, seed=3)
 
 
 def test_scan_calls_f_twice_and_deriv_once_per_chunk():
@@ -238,8 +256,13 @@ def test_scan_calls_f_twice_and_deriv_once_per_chunk():
     assert calls == [("f", (rows, 16)), ("f", (rows, 16)), ("deriv", (rows, 16))]
     calls.clear()
     strict_residual_scan(counted("f", f), counted("deriv", deriv), base, samples_per_radius=5000)
-    assert len(calls) == 3 * 4 + 3  # 4096 pairs: a call per radius; 904 pairs: all four
-    assert max(rows * cols for _, (rows, cols) in calls) <= verify._CHUNK_COORDS
+    # chunks of 4096 and 904 pairs, each radius in blocks of 512 pairs: 8 + 2 calls a radius
+    assert len(calls) == 3 * 4 * (8 + 2)
+    assert max(rows * cols for _, (rows, cols) in calls) <= verify._CALL_COORDS
+    calls.clear()
+    f, deriv, base = _parity_case("ball_exterior", 1000)
+    strict_residual_scan(counted("f", f), counted("deriv", deriv), base)
+    assert max(rows for name, (rows, _) in calls if name == "f") == 8
 
 
 def _ball_at_one():
