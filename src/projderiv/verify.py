@@ -34,7 +34,7 @@ FD_STEP = 1e-5
 # The residual scan draws its pairs in chunks of _CHUNK_COORDS coordinates per point (which
 # fixes the random stream, and so every report) and calls f and deriv on _CALL_COORDS at most:
 # a 64 KiB stack stays in L2, and no temporary passes glibc's 128 KiB mmap threshold, past
-# which each goes back to the OS when freed and faults in again (~1,900 per scan at n = 1000)
+# which each goes back to the OS when freed and faults in again (~1,800 per scan at n = 1000)
 _CHUNK_COORDS = 2**16
 _CALL_COORDS = 2**13
 # Gate of the optimality certificate, in units of 2^k just above the job scale

@@ -187,8 +187,9 @@ def test_gateaux_refuses_a_direction_of_the_wrong_length(tmp_path, capsys, set_s
 )
 @pytest.mark.parametrize("direction", [[1, 0, 0], [1]], ids=["longer", "shorter"])
 def test_every_dense_direction_of_the_wrong_length_is_refused_alike(
-    tmp_path, capsys, command, key, set_spec, x, direction
+    tmp_path, capsys, monkeypatch, command, key, set_spec, x, direction
 ):
+    monkeypatch.setattr(projderiv.cli, "strict_residual_scan", None)  # refused before any scan
     job = {"command": command, "set": set_spec, "inputs": {"x": x, key: direction}}
     code, out, err = run(tmp_path, capsys, job)
     assert (code, out, err) == (2, "", f"error: dimension mismatch: 2 vs {len(direction)}\n")

@@ -215,10 +215,10 @@ def per_radius_scan(f, deriv, base, radii, samples_per_radius, seed):
 GROUPING_CASES = [
     (1, 20000, 5), (2, 64, 4), (16, 64, 4), (16, 200, 5), (16, 5000, 6), (1000, 200, 3)
 ]
-# The scan in calls smaller than a chunk: one radius per call where the parent
-# of this blocking grouped all four (n = 100); one chunk of 61 pairs, in blocks
-# of 8 and a short one of 5; chunks of 21, 21 and 8 pairs in blocks of 2; and
-# chunks of 6, 6 and 1 pairs, one row per call.
+# The scan in calls smaller than a chunk: one radius and 64 pairs per call
+# (n = 100, where a call of 81 rows fits no two radii); one chunk of 61 pairs,
+# in blocks of 8 and a short one of 5; chunks of 21, 21 and 8 pairs in blocks
+# of 2; and chunks of 6, 6 and 1 pairs, one row per call.
 BLOCKED_CASES = [(100, 64, 4), (1000, 61, 4), (3000, 50, 2), (10**4, 13, 2)]
 
 
