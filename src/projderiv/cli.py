@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,14 @@ class JobError(Exception):
 
 
 def fmt_vec(v) -> str:
-    return "[" + ", ".join(["%.17g" % c for c in np.asarray(v, dtype=np.float64).tolist()]) + "]"
+    values = tuple(np.asarray(v, dtype=np.float64).tolist())
+    return "[" + ("%.17g, " * len(values))[:-2] % values + "]"
 
 
 def fmt_seq(s: SeqVector) -> str:
     """s as one line of JSON, in the record form that ``SeqVector.from_record`` reads."""
-    pairs = ", ".join(["[%d, %.17g]" % p for p in s.overrides.items()])
+    ov = s.overrides
+    pairs = ("[%d, %.17g], " * len(ov))[:-2] % tuple(chain.from_iterable(ov.items()))
     t = s.tail
     if t is None:
         tail_text = '{"kind": "zero"}'
@@ -94,7 +97,7 @@ def _fmt(value) -> str:
 def _vector(value, what: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{what} must be a non-empty list of numbers")
-    return np.array(parse_numbers(value, what))
+    return parse_numbers(value, what)
 
 
 def _record(value, what: str) -> SeqVector:
@@ -111,7 +114,7 @@ def _count(value, what: str) -> int:
 
 
 def _positive(value, what: str) -> float:
-    v = parse_numbers([value], what)[0]
+    v = float(parse_numbers([value], what)[0])
     if v <= 0:
         raise ValueError(f"{what} must be positive")
     return v
@@ -121,9 +124,9 @@ def _positives(value, what: str) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
         raise ValueError(f"{what} must be a non-empty list")
     parsed = parse_numbers(value, what)
-    if any(v <= 0 for v in parsed):
+    if (parsed <= 0).any():
         raise ValueError(f"{what} entries must be positive")
-    return tuple(parsed)
+    return tuple(parsed.tolist())
 
 
 def _seed(value, what: str) -> int:

@@ -173,15 +173,16 @@ class SeqVector:
         if not isinstance(record, dict) or set(record) != {"overrides", "tail"}:
             raise ValueError("record must have exactly the keys 'overrides' and 'tail'")
         pairs = record["overrides"]
-        if not isinstance(pairs, list) or any(
-            not isinstance(p, (list, tuple)) or len(p) != 2 for p in pairs
-        ):
+        listed = isinstance(pairs, list) and {list, tuple}.issuperset(map(type, pairs))
+        if not listed or not {2}.issuperset(map(len, pairs)):
             raise ValueError("overrides must be a list of [index, value] pairs")
-        ov = {}
-        for i, v in pairs:
-            if _check_index(i) in ov:
-                raise ValueError(f"duplicate override index {i}")
-            ov[i] = v
+        indices = [i for i, _ in pairs]
+        _check_indices(indices)
+        ov = dict(pairs)
+        if len(ov) < len(pairs):
+            seen = set()
+            repeat = next(i for i in indices if i in seen or seen.add(i))
+            raise ValueError(f"duplicate override index {repeat}")
         parse_numbers(list(ov.values()), "coordinate value")  # the constructor converts them
         tail_rec = record["tail"]
         if not isinstance(tail_rec, dict) or "kind" not in tail_rec:

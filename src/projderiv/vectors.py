@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 Vector = np.ndarray
@@ -29,17 +27,17 @@ def _finite_copy(x, ndims: tuple[int, ...], what: str) -> Vector:
     return v
 
 
-def parse_numbers(values: list, what: str) -> list[float]:
-    """Parsed JSON numbers as finite floats; bools and strings are refused."""
+def parse_numbers(values: list, what: str) -> Vector:
+    """Parsed JSON numbers as a finite float64 array; bools and strings are refused."""
     if not {int, float}.issuperset(map(type, values)):  # type(True) is bool, not int
         raise ValueError(f"{what} must be a number")
     try:
-        floats = list(map(float, values))
+        v = np.array(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
-        floats = [math.inf]
-    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"{what} must be finite") from None
+    if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
-    return floats
+    return v
 
 
 def norm(v):

@@ -57,7 +57,13 @@ class ResidualScan:
     residuals: tuple[float, ...]
 
     def worst_decay_ratio(self) -> float:
-        """Largest consecutive residual ratio (identically-zero pairs count as 0)."""
+        """Largest consecutive residual ratio (identically-zero pairs count as 0).  Radii
+        that do not strictly decrease are refused: their ratios measure no decay."""
+        for wider, narrower in zip(self.radii, self.radii[1:]):
+            if not narrower < wider:
+                raise ValueError(
+                    f"scan radii must strictly decrease, not {wider:.17g} then {narrower:.17g}"
+                )
         worst = 0.0
         for earlier, later in zip(self.residuals, self.residuals[1:]):
             if earlier == 0.0:

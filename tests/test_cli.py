@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -563,6 +563,23 @@ def test_verify_refuses_a_scan_radius_outside_the_float_range(tmp_path, capsys, 
     assert (code, out, err) == (2, "", "error: scan radius 1e+308 leaves the float range\n")
 
 
+# strict_decay compared consecutive residuals in the order given, so radii that
+# grow or repeat printed a false failure where the map is smooth:
+# "VERDICT strict_decay fail 1004.1834270120515 0.5" and "... fail 1 0.5"
+@pytest.mark.parametrize(
+    "radii,message",
+    [
+        ([1e-5, 1e-2], "1.0000000000000001e-05 then 0.01"),
+        ([1e-3, 1e-3], "0.001 then 0.001"),
+    ],
+    ids=["growing", "repeated"],
+)
+def test_verify_refuses_radii_that_do_not_strictly_decrease(tmp_path, capsys, radii, message):
+    job = ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}, options={"radii": radii})
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", f"error: scan radii must strictly decrease, not {message}\n")
+
+
 def test_witness_below_square_underflow_keeps_exact_residuals(tmp_path, capsys):
     # x_600 = 0.5**599 ≈ 2.4e-181 squares to zero in float64; the distances
     # are scaled before squaring, so the residuals stay exactly 1/2 and 2/3
@@ -847,6 +864,29 @@ def test_integer_beyond_float_range_is_refused_as_nonfinite(tmp_path, capsys, jo
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# The loader converts a whole list at once; a bad entry last in a long list is
+# refused with the same line as in a one-entry list.
+LONG = [0.5] * 999
+
+
+@pytest.mark.parametrize(
+    "bad,what",
+    [(True, "a number"), ("1", "a number"), (HUGE, "finite"), (math.nan, "finite")],
+    ids=["bool", "string", "huge", "nan"],
+)
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda v: {"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": v}}, "input x"),
+        (lambda v: ball_job("project", v, 1, inputs={"x": [0.5] * 1000}), "set.center"),
+    ],
+    ids=["x", "center"],
+)
+def test_a_bad_number_last_in_1000_coordinates_is_refused(tmp_path, capsys, make, name, bad, what):
+    code, out, err = run(tmp_path, capsys, make([*LONG, bad]))
+    assert (code, out, err) == (2, "", f"error: {name} must be {what}\n")
+
+
 @pytest.mark.parametrize(
     "record,message",
     [
@@ -968,6 +1008,14 @@ floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_
 ratios = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
+# Lengths at which each formatter builds one long template: a 3,000-coordinate
+# vector at every magnitude, and an escape witness's 20,000 overrides
+_rng = np.random.default_rng(20)
+LONG_VECTOR = [*AWKWARD, math.inf, -math.inf, math.nan,
+               *(_rng.standard_normal(2987) * 10.0 ** _rng.integers(-300, 300, 2987)).tolist()]
+ESCAPE_SIZED = {**{i: 0.999 ** (i - 1) for i in range(1, 20000)}, 20000: -5e-7}
+
+
 def per_number(v) -> str:
     return format(float(v), ".17g")  # the formatter before numbers were formatted in bulk
 
@@ -984,6 +1032,7 @@ def fmt_seq_per_number(s) -> str:
 
 @settings(max_examples=200, derandomize=True)
 @given(st.lists(floats | st.sampled_from([math.inf, -math.inf, math.nan]), min_size=1, max_size=30))
+@example(LONG_VECTOR)
 def test_fmt_vec_matches_the_per_number_formatter(values):
     want = "[" + ", ".join(per_number(v) for v in values) + "]"
     assert fmt_vec(np.array(values)) == want
@@ -995,6 +1044,9 @@ def test_fmt_vec_matches_the_per_number_formatter(values):
     st.dictionaries(st.integers(1, 2**70), floats, max_size=30),
     st.none() | st.builds(GeometricTail, floats, ratios, st.integers(1, 2**70)),
 )
+@example({}, None)
+@example({}, GeometricTail(-1.5, 0.999, 3))
+@example(ESCAPE_SIZED, None)
 def test_fmt_seq_matches_the_per_number_formatter(overrides, tail):
     s = SeqVector(overrides, tail)
     assert fmt_seq(s) == fmt_seq_per_number(s)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
@@ -296,6 +297,30 @@ def test_from_record_validation():
         SeqVector.from_record({"overrides": [], "tail": {"kind": "zero", "a": 1.0}})
     with pytest.raises(ValueError):
         SeqVector.from_record({"overrides": [], "tail": {"kind": "geometric", "a": 1.0}})
+
+
+# The record reader checks all pairs at once; a fault after 500 good pairs is
+# named as it is in a one-pair record, and a repeat by the first index that repeats.
+GOOD_PAIRS = [[i, 0.5] for i in range(1, 501)]
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ([[7]], "overrides must be a list of [index, value] pairs"),
+        ([[7, 1, 2]], "overrides must be a list of [index, value] pairs"),
+        ([{"7": 1}], "overrides must be a list of [index, value] pairs"),
+        ([[0, 1.0]], "coordinate indices must be positive integers"),
+        ([[True, 1.0]], "coordinate indices must be positive integers"),
+        ([[[7], 1.0]], "coordinate indices must be positive integers"),
+        ([[700, 1.0], [600, 1.0], [700, 2.0], [600, 2.0]], "duplicate override index 700"),
+        ([[3, 1.0]], "duplicate override index 3"),
+        ([[600, "1"]], "coordinate value must be a number"),
+    ],
+)
+def test_from_record_names_a_fault_after_many_good_pairs(bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SeqVector.from_record({"overrides": GOOD_PAIRS + bad, "tail": {"kind": "zero"}})
 
 
 @pytest.mark.parametrize("bad", [True, "1", None, [1.0], 10**400, -(10**400), math.inf, math.nan])
