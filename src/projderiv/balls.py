@@ -29,10 +29,21 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center))
-        r = float(self.radius)
+        self._set(as_vector(self.center), self.radius)
+
+    @classmethod
+    def _parsed(cls, center: Vector, radius: float) -> Ball:
+        """The ball on a center its caller has parsed into a finite 1-D float64 array, which
+        is kept (read-only) with no second copy and check."""
+        (ball := cls.__new__(cls))._set(center, radius)
+        return ball
+
+    def _set(self, center: Vector, radius) -> None:
+        r = float(radius)
         if not np.isfinite(r) or r <= 0.0:
             raise ValueError("radius must be finite and positive")
+        center.flags.writeable = False
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", r)
 
 
@@ -69,6 +80,11 @@ def project_ball(ball: Ball, x) -> Vector:
     """Nearest point of the closed ball, row by row: x inside, radial pull-back outside."""
     x = as_points(x)
     _same_dim(ball.center, x)
+    return _project_ball(ball, x)
+
+
+def _project_ball(ball: Ball, x: Vector) -> Vector:
+    """``project_ball`` on a finite float64 (n,) or (S, n) array of the ball's dimension, unchecked."""
     d = _offset(ball, x)
     dist = norm(d)
     outside = dist > ball.radius
@@ -137,6 +153,10 @@ class BallDeriv:
         w = as_points(w)
         if w.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.dim}")
+        return self._apply(w)
+
+    def _apply(self, w: Vector) -> Vector:
+        """``apply`` on a finite float64 (n,) or (S, n) array of dimension ``dim``, unchecked."""
         if self.kind is BallDerivKind.IDENTITY:
             return w
         # ‖a‖∞ ∈ [1/2, 1) and ⟨a, a⟩, r_s² ≥ 1/4, so no step exceeds (4n + 1)·‖w‖∞
@@ -163,8 +183,8 @@ class BallDeriv:
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     """Derivative operator of the ball projection at x, by region; ``NOT_FRECHET`` at sphere
     points rather than an error, as non-differentiability there is a result, not a failure."""
-    x = as_vector(x)
-    region = classify_ball(ball, x)
+    region = classify_ball(ball, x)  # checks x, so it is read below with no second copy
+    x = np.asarray(x, dtype=np.float64)
     gap = abs(region.signed_gap)  # the smooth radius off the sphere
     if region.tag is BallRegionTag.INTERIOR:
         return BallDeriv(BallDerivKind.IDENTITY, x.size, smooth_radius=gap)
@@ -180,8 +200,8 @@ def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
 
 def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:
     """One-sided derivative at a sphere point: ``apply`` of its derivative, refused off the sphere."""
-    x, deriv = as_vector(x), ball_frechet_derivative(ball, x)
+    deriv = ball_frechet_derivative(ball, x)  # checks x, and x and the center share a dimension
     if deriv.is_linear:
         raise ValueError("base point must lie on the sphere")
-    _same_dim(x, as_vector(w))
+    _same_dim(ball.center, as_vector(w))
     return deriv.apply(w)

@@ -29,6 +29,7 @@ from .balls import (
     classify_ball,
     project_ball,
     _offset,
+    _project_ball,
 )
 from .orthant import (
     ConeDerivKind,
@@ -36,6 +37,7 @@ from .orthant import (
     cone_refute_frechet,
     project_cone,
     sign_partition,
+    _clamp,
 )
 from .sequences import (
     SeqVector,
@@ -47,7 +49,7 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import norm, parse_numbers, _same_dim
+from .vectors import norm, parse_number, parse_numbers, _same_dim
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
@@ -114,7 +116,7 @@ def _count(value, what: str) -> int:
 
 
 def _positive(value, what: str) -> float:
-    v = float(parse_numbers([value], what)[0])
+    v = parse_number(value, what)
     if v <= 0:
         raise ValueError(f"{what} must be positive")
     return v
@@ -194,7 +196,7 @@ def _job_spec(raw) -> JobSpec:
         if set(set_spec) != {"kind", "center", "radius"}:
             raise ValueError("ball set needs exactly center and radius")
         center = _vector(set_spec["center"], "set.center")
-        ball = Ball(center=center, radius=parse_numbers([set_spec["radius"]], "set.radius")[0])
+        ball = Ball._parsed(center, parse_number(set_spec["radius"], "set.radius"))
     elif set(set_spec) != {"kind"}:
         raise ValueError(f"set kind {set_kind!r} takes no parameters")
 
@@ -328,7 +330,9 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
             f"default scan radii round to 0 at smooth radius {_fmt(delta)}; supply option radii"
         )
     samples = job.options.get("samples_per_radius", 64)
-    scan = strict_residual_scan(f, deriv.apply, x, radii, samples, seed)
+    # the scan's and the quotient's points are finite and of x's dimension: no check again
+    f, apply = (partial(_project_ball, job.ball) if job.ball else _clamp), deriv._apply
+    scan = strict_residual_scan(f, apply, x, radii, samples, seed)
     for radius, residual in zip(scan.radii, scan.residuals):
         lines.append(f"scan radius={_fmt(radius)} residual={_fmt(residual)}")
     ratio = scan.worst_decay_ratio()
@@ -339,13 +343,17 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
         w /= float(norm(w))
     # ‖h·w‖ ≤ δ/2, so x ± h·w keeps x's signs and its side of the sphere; a unit w
     # (the default, whose computed norm may round above 1) keeps its step unscaled
-    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0) / max(1.0, float(norm(w)) / 2.0)
+    nw = float(norm(w))
+    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0) / max(1.0, nw / 2.0)
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
-    ahead, behind = f(np.stack((x + h * w, x - h * w)))
-    dw = deriv.apply(w)
+    ends = np.stack((x + h * w, x - h * w))
+    if not np.isfinite(ends).all():
+        raise JobError("vector coordinates must be finite")
+    ahead, behind = f(ends)
+    dw = apply(w)
     err = float(norm((ahead - behind) / (2.0 * h) - dw))
-    tol = 1e-6 * max(float(norm(dw)), float(norm(w))) if job.ball else 1e-9
+    tol = 1e-6 * max(float(norm(dw)), nw) if job.ball else 1e-9
     ok &= _verdict(lines, "fd_match", err <= tol, err, tol)
     return ok
 

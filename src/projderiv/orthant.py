@@ -58,7 +58,12 @@ def classify_cone(x) -> ConeRegion:
 
 def project_cone(x) -> Vector:
     """Nearest point of the nonnegative orthant (coordinatewise clamp), row by row for a stack."""
-    return np.maximum(as_points(x), 0.0)
+    return _clamp(as_points(x))
+
+
+def _clamp(x: Vector) -> Vector:
+    """``project_cone`` on a finite float64 (n,) or (S, n) array, unchecked."""
+    return np.maximum(x, 0.0)
 
 
 class ConeDerivKind(Enum):
@@ -91,10 +96,14 @@ class ConeDeriv:
 
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
-        w = as_points(w)
+        w, n = as_points(w), self.partition.plus.size
+        if w.shape[-1] != n:
+            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {n}")
+        return self._apply(w)
+
+    def _apply(self, w: Vector) -> Vector:
+        """``apply`` on a finite float64 (n,) or (S, n) array of x's dimension, unchecked."""
         plus, zero = self.partition.plus, self.partition.zero
-        if w.shape[-1] != plus.size:
-            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {plus.size}")
         if self.kind is ConeDerivKind.IDENTITY:
             return w
         if self.kind is ConeDerivKind.ZERO:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -31,10 +32,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .vectors import Vector, parse_numbers
+from .vectors import Vector, parse_number, parse_numbers, _INT_LIMIT
 
 _MIN_NORMAL = sys.float_info.min
-_EXP_LIMIT = 2**1024 - 2**970  # the least int whose conversion to float overflows
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class GeometricTail:
         such as 1e300·0.5^(i−1) is not cut at i ≈ 1075."""
         a, r, s = self.coeff, self.ratio, self.start
         return [
-            0.0 if not 0 <= (n := i - s) < _EXP_LIMIT
+            0.0 if not 0 <= (n := i - s) < _INT_LIMIT
             else a * p if (p := r**n) >= _MIN_NORMAL
             else a * r ** (n // 2) * r ** (n - n // 2)
             for i in indices
@@ -109,17 +109,26 @@ class SeqVector:
     tail: GeometricTail | None = None
 
     def __post_init__(self):
-        tail = self.tail
-        if tail is not None and tail.coeff == 0.0:
-            tail = None
         _check_indices(self.overrides)
         indices = sorted(self.overrides)
         values = list(map(float, map(self.overrides.__getitem__, indices)))
         if not all(map(math.isfinite, values)):
             raise ValueError("coordinate values must be finite")
-        differ = map(operator.ne, values, _tail_values(tail, indices))
+        self._canonical(indices, values, self.tail)
+
+    def _canonical(self, indices: list[int], values: list[float], tail) -> SeqVector:
+        """Set the canonical form of the overrides (sorted distinct positive int indices, finite
+        float values, as checked by the caller) over tail, evaluated only from its start on."""
+        if tail is not None and tail.coeff == 0.0:
+            tail = None
+        cut = bisect_left(indices, tail.start) if tail else len(indices)
+        under = [0.0] * cut  # the tail is 0 before its start
+        if tail:
+            under += tail.values(indices[cut:])
+        differ = map(operator.ne, values, under)
         object.__setattr__(self, "overrides", dict(compress(zip(indices, values), differ)))
         object.__setattr__(self, "tail", tail)
+        return self
 
     @property
     def support_max(self) -> int:
@@ -183,7 +192,8 @@ class SeqVector:
             seen = set()
             repeat = next(i for i in indices if i in seen or seen.add(i))
             raise ValueError(f"duplicate override index {repeat}")
-        parse_numbers(list(ov.values()), "coordinate value")  # the constructor converts them
+        order = sorted(ov)
+        values = parse_numbers(list(map(ov.__getitem__, order)), "coordinate value").tolist()
         tail_rec = record["tail"]
         if not isinstance(tail_rec, dict) or "kind" not in tail_rec:
             raise ValueError("tail must be a record with a 'kind'")
@@ -194,14 +204,11 @@ class SeqVector:
         elif tail_rec["kind"] == "geometric":
             if set(tail_rec) != {"kind", "a", "rho", "start"}:
                 raise ValueError("geometric tail needs exactly a, rho, start")
-            tail = GeometricTail(
-                coeff=parse_numbers([tail_rec["a"]], "tail a")[0],
-                ratio=parse_numbers([tail_rec["rho"]], "tail rho")[0],
-                start=tail_rec["start"],
-            )
+            a, rho = parse_number(tail_rec["a"], "tail a"), parse_number(tail_rec["rho"], "tail rho")
+            tail = GeometricTail(a, rho, tail_rec["start"])
         else:
             raise ValueError(f"unknown tail kind {tail_rec['kind']!r}")
-        return cls(ov, tail)
+        return cls.__new__(cls)._canonical(order, values, tail)  # checked above, so not again
 
 
 def distance(x: SeqVector, y: SeqVector) -> float:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Vector = np.ndarray
+_INT_LIMIT = 2**1024 - 2**970  # the least int whose conversion to float overflows
 
 
 def as_vector(x) -> Vector:
@@ -38,6 +41,15 @@ def parse_numbers(values: list, what: str) -> Vector:
     if not np.isfinite(v).all():
         raise ValueError(f"{what} must be finite")
     return v
+
+
+def parse_number(value, what: str) -> float:
+    """One parsed JSON number as a finite float, refused as by ``parse_numbers``, with no array."""
+    if type(value) not in (int, float):  # type(True) is bool, not int
+        raise ValueError(f"{what} must be a number")
+    if not (abs(value) < _INT_LIMIT if type(value) is int else math.isfinite(value)):
+        raise ValueError(f"{what} must be finite")
+    return float(value)
 
 
 def norm(v):

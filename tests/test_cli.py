@@ -479,10 +479,11 @@ def test_verify_refuses_default_radii_that_underflow(tmp_path, capsys, job, delt
     assert (code, out, err) == (2, "", want)
 
 
-def count_calls(monkeypatch, name: str) -> list:
-    """Record the calls of projderiv's function `name` through every projderiv.* namespace
-    that holds it, as the traced benchmark counts them (cli imports its functions by name)."""
-    original, calls = getattr(projderiv, name), []
+def count_calls(monkeypatch, name: str, module=projderiv, calls=None) -> list:
+    """Record the calls of `module`'s function `name` (appended to `calls`) through every
+    projderiv.* namespace that holds it, as the traced benchmark counts them (cli imports
+    its functions by name)."""
+    original, calls = getattr(module, name), [] if calls is None else calls
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -511,6 +512,27 @@ def test_a_job_classifies_its_point_once(tmp_path, capsys, monkeypatch, job, nam
     calls = count_calls(monkeypatch, name)
     code, _, err = run(tmp_path, capsys, job)
     assert (code, err, len(calls)) == (0, "", 1)
+
+
+# verify copied and checked the loader's vectors again and again: 12 coercions in this
+# ball job and 10 in the cone_rn job, one per scan block and two in the fd_match quotient.
+# What is left: the projection of x, the oracle's x and p, the derivative's x and the
+# scan's base point, each a public function checking its own input
+@pytest.mark.parametrize(
+    "job",
+    [
+        ball_job("verify", [0] * 16, 1, inputs={"x": [0.5] * 16}),
+        {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2] * 8}},
+    ],
+    ids=["ball-n16", "cone_rn-n16"],
+)
+def test_a_verify_job_coerces_each_vector_once_per_public_call(tmp_path, capsys, monkeypatch, job):
+    calls = []
+    for name in ("as_vector", "as_points"):
+        count_calls(monkeypatch, name, projderiv.vectors, calls)
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err, len(calls)) == (0, "", 5)
+    assert out.count("VERDICT") == 3
 
 
 # the cone_rn step was min(1e-5, min|x_i|/16), which is not scaled to x: from

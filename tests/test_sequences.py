@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -420,6 +421,28 @@ def test_bulk_constructor_and_coords_match_the_one_by_one_loop(case, extra):
     idx = sorted({*overrides, *(max(1, k) for k in extra)})
     assert bits(x.coords(idx)) == bits(kept.get(i, underneath(i)) for i in idx)
     assert bits(map(x.coord, idx)) == bits(x.coords(idx))
+
+
+# the record reader checks its pairs itself and builds the canonical form with no second
+# check, evaluating the tail only from its start on: it must keep the overrides that differ
+# from the value underneath, in index order and to the bit, as the constructor does
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(overrides_over_a_tail(), st.randoms(use_true_random=False))
+@example(({3: 0.0, 1: -0.0, 2: 1.0}, None), random.Random(0))
+@example(({1: 0.0, 5: 0.25}, geo(0.0, 0.5, 2)), random.Random(0))  # a zero tail is no tail
+@example(({4: 0.5, 2: 1.0, 3: 0.25, 1: -0.0}, geo(1.0, 0.5, 2)), random.Random(0))  # 2 and 4 go
+def test_a_record_builds_the_constructors_canonical_form(case, rnd):
+    overrides, tail = case
+    pairs = [[i, v] for i, v in overrides.items()]
+    rnd.shuffle(pairs)
+    tail_rec = {"kind": "zero"} if tail is None else {
+        "kind": "geometric", "a": tail.coeff, "rho": tail.ratio, "start": tail.start}
+    got = SeqVector.from_record({"overrides": pairs, "tail": tail_rec})
+    tail = None if tail is None or tail.coeff == 0.0 else tail
+    underneath = lambda i: 0.0 if tail is None else value_at_one_by_one(tail, i)
+    kept = {i: float(v) for i, v in sorted(overrides.items()) if float(v) != underneath(i)}
+    assert list(got.overrides) == list(kept) and bits(got.overrides.values()) == bits(kept.values())
+    assert got.tail == tail and got == SeqVector(overrides, tail)
 
 
 @pytest.mark.parametrize("index", [True, False, 0, -3, 1.0, "2", None, np.int64(2)])

@@ -4,7 +4,7 @@ import pytest
 from projderiv import as_vector
 import warnings
 
-from projderiv.vectors import as_points, norm
+from projderiv.vectors import as_points, norm, parse_number, parse_numbers
 
 
 def test_as_vector_rejects_bad_input():
@@ -64,3 +64,22 @@ def test_norm_beyond_the_float_range_is_inf_without_a_warning():
         warnings.simplefilter("error")
         assert norm(np.array([1.5e308, 1.5e308])) == np.inf
         assert np.array_equal(norm(np.array([[1.5e308, -1.5e308], [3.0, 4.0]])), [np.inf, 5.0])
+
+
+LIMIT = 2**1024 - 2**970  # the least int whose conversion to float overflows
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, "1", None, [1.0], {"a": 1}, np.float64(1.0), np.nan, -np.inf, 10**400,
+     -(10**400), LIMIT, -LIMIT, LIMIT - 1, -(LIMIT - 1), 2**63 + 1, 0, -0.0, 5e-324, 1.5e308],
+)
+def test_parse_number_reads_and_refuses_as_parse_numbers_does(value):
+    try:
+        want = parse_numbers([value], "tail a")
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{e}$"):
+            parse_number(value, "tail a")
+        return
+    got = parse_number(value, "tail a")
+    assert type(got) is float and float(want[0]).hex() == got.hex()
