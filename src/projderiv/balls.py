@@ -31,6 +31,13 @@ class Ball:
     def __post_init__(self):
         self._set(as_vector(self.center), self.radius)
 
+    def __eq__(self, other) -> bool:  # by value: the same radius and equal centers
+        same = isinstance(other, Ball) and self.radius == other.radius
+        return same and np.array_equal(self.center, other.center)
+
+    def __hash__(self) -> int:  # agrees with ==, as hash(-0.0) == hash(0.0)
+        return hash((self.radius, *self.center.tolist()))
+
     @classmethod
     def _parsed(cls, center: Vector, radius: float) -> Ball:
         """The ball on a center its caller has parsed into a finite 1-D float64 array, which

@@ -347,9 +347,10 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0) / max(1.0, nw / 2.0)
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
-    ends = np.stack((x + h * w, x - h * w))
+    with np.errstate(over="ignore"):
+        ends = np.stack((x + h * w, x - h * w))
     if not np.isfinite(ends).all():
-        raise JobError("vector coordinates must be finite")
+        raise JobError(f"fd_match step {_fmt(h)} takes x ± h·w out of the float range")
     ahead, behind = f(ends)
     dw = apply(w)
     err = float(norm((ahead - behind) / (2.0 * h) - dw))

@@ -122,10 +122,9 @@ class SeqVector:
         if tail is not None and tail.coeff == 0.0:
             tail = None
         cut = bisect_left(indices, tail.start) if tail else len(indices)
-        under = [0.0] * cut  # the tail is 0 before its start
+        differ = values[:cut]  # the tail is 0 before its start: keep the nonzero values there
         if tail:
-            under += tail.values(indices[cut:])
-        differ = map(operator.ne, values, under)
+            differ += map(operator.ne, values[cut:], tail.values(indices[cut:]))
         object.__setattr__(self, "overrides", dict(compress(zip(indices, values), differ)))
         object.__setattr__(self, "tail", tail)
         return self
@@ -133,13 +132,10 @@ class SeqVector:
     @property
     def support_max(self) -> int:
         """Largest overridden index (0 when there are no overrides)."""
-        return max(self.overrides, default=0)
+        return next(reversed(self.overrides), 0)  # canonical overrides are sorted
 
     def coord(self, i: int) -> float:
-        _check_index(i)
-        if i in self.overrides:
-            return self.overrides[i]
-        return 0.0 if self.tail is None else self.tail.value_at(i)
+        return self.coords((_check_index(i),))[0]
 
     def coords(self, indices) -> list[float]:
         """Coordinates at the given (positive integer) indices, in one pass."""
@@ -147,16 +143,17 @@ class SeqVector:
 
     def with_coord(self, i: int, value: float) -> "SeqVector":
         """Copy with coordinate i set to the given value."""
-        ov = dict(self.overrides)
-        ov[_check_index(i)] = float(value)
-        return SeqVector(ov, self.tail)
+        return self._edited({_check_index(i): float(value)})
 
     def add_finite(self, delta: Mapping[int, float]) -> "SeqVector":
-        """Copy with finitely many coordinates shifted by delta."""
-        ov = dict(self.overrides)
-        for i, v in delta.items():
-            ov[_check_index(i)] = self.coord(i) + float(v)
-        return SeqVector(ov, self.tail)
+        """Copy with finitely many coordinates shifted by delta (``coord`` checks each index)."""
+        return self._edited({i: self.coord(i) + float(v) for i, v in delta.items()})
+
+    def _edited(self, new: dict[int, float]) -> "SeqVector":
+        """Copy with new's coordinates (checked indices) set, checking only their values."""
+        if not all(map(math.isfinite, new.values())):
+            raise ValueError("coordinate values must be finite")
+        return _trusted({**self.overrides, **new}, self.tail)
 
     def truncate(self, m: int) -> Vector:
         """First m coordinates as a dense array."""
@@ -209,6 +206,12 @@ class SeqVector:
         else:
             raise ValueError(f"unknown tail kind {tail_rec['kind']!r}")
         return cls.__new__(cls)._canonical(order, values, tail)  # checked above, so not again
+
+
+def _trusted(ov: dict[int, float], tail: GeometricTail | None) -> SeqVector:
+    """Canonical form of overrides from checked sequences, in any index order: no second check."""
+    idx = sorted(ov)
+    return SeqVector.__new__(SeqVector)._canonical(idx, list(map(ov.__getitem__, idx)), tail)
 
 
 def distance(x: SeqVector, y: SeqVector) -> float:
@@ -272,17 +275,15 @@ def classify_l2(x: SeqVector) -> L2Region:
 
 def in_cone(x: SeqVector) -> bool:
     """Membership in the positive cone (every coordinate >= 0)."""
-    if any(v < 0.0 for v in x.overrides.values()):
-        return False
-    return x.tail is None or x.tail.coeff > 0.0
+    return min(x.overrides.values(), default=0.0) >= 0.0 and (x.tail is None or x.tail.coeff > 0.0)
 
 
 def project_cone_l2(x: SeqVector) -> SeqVector:
     """Nearest point of the positive cone: clamp every coordinate at zero."""
-    if x.tail is not None and x.tail.coeff < 0.0:
-        return SeqVector({i: v for i, v in x.overrides.items() if v > 0.0}, None)
-    # zero or positive tail survives; keep explicit zeros shadowing a positive tail
-    return SeqVector({i: (v if v > 0.0 else 0.0) for i, v in x.overrides.items()}, x.tail)
+    tail = x.tail if x.tail is not None and x.tail.coeff > 0.0 else None
+    # the canonical form drops the clamped zeros unless they shadow a surviving positive tail
+    values = [v if v > 0.0 else 0.0 for v in x.overrides.values()]
+    return SeqVector.__new__(SeqVector)._canonical(list(x.overrides), values, tail)
 
 
 def l2_gateaux(x: SeqVector, w: SeqVector) -> SeqVector:
@@ -298,11 +299,12 @@ def l2_gateaux(x: SeqVector, w: SeqVector) -> SeqVector:
     if region is L2Region.ALL_POSITIVE:
         return w
     if region is L2Region.ALL_NEGATIVE:
-        return SeqVector({}, None)
+        return _trusted({}, None)
     if x.tail.coeff > 0.0:
         negative = {i: 0.0 for i, v in x.overrides.items() if v < 0.0}
-        return SeqVector({**w.overrides, **negative}, w.tail)
-    return SeqVector({i: w.coord(i) for i, v in x.overrides.items() if v > 0.0}, None)
+        return _trusted({**w.overrides, **negative}, w.tail)
+    idx = [i for i, v in x.overrides.items() if v > 0.0]
+    return SeqVector.__new__(SeqVector)._canonical(idx, w.coords(idx), None)
 
 
 @dataclass(frozen=True)
@@ -390,9 +392,7 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
             m += max(0, math.ceil(excess / -math.log(r)) - 1)  # one short; the walk settles m
         while x.tail.norm_from(m + 1) >= dip:
             m += 1
-    tail = range(x.tail.start, m + 1) if x.tail else ()  # before it, only overrides are nonzero
-    idx = list({*x.overrides, *tail})
-    values = x.coords(idx)
-    coords = dict(compress(zip(idx, values), values))  # the nonzero ones
-    coords[m + 1] = -dip
-    return SeqVector(coords, None)
+    start = x.tail.start if x.tail else m + 1  # before it, only overrides are nonzero
+    idx = [*(i for i in x.overrides if i < start), *range(start, m + 1)]  # sorted: m ≥ each
+    # the canonical form keeps the nonzero coordinates, as the tail is cut
+    return SeqVector.__new__(SeqVector)._canonical([*idx, m + 1], [*x.coords(idx), -dip], None)

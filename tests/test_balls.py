@@ -34,6 +34,26 @@ def test_ball_validation():
         Ball(center=[np.nan], radius=1.0)
 
 
+# the generated __eq__ compared the center arrays (ValueError: the truth value of an
+# array with more than one element is ambiguous), and __hash__ hashed them (TypeError)
+def test_balls_compare_and_hash_by_value():
+    ball = Ball(center=[1.0, -2.0], radius=2)
+    assert ball == Ball(center=np.array([1.0, -2.0]), radius=2.0)
+    assert hash(ball) == hash(Ball(center=[1.0, -2.0], radius=2.0))
+    signed = Ball(center=[-0.0, 0.0], radius=1.0), Ball(center=[0.0, -0.0], radius=1.0)
+    assert signed[0] == signed[1] and hash(signed[0]) == hash(signed[1])
+    assert len({ball, Ball(center=[1.0, -2.0], radius=2), *signed}) == 2
+    others = [
+        Ball(center=[1.0, -2.0], radius=3.0),
+        Ball(center=[1.0, 2.0], radius=2.0),
+        Ball(center=[1.0, -2.0, 0.0], radius=2.0),  # same leading coordinates, longer
+        Ball(center=[1.0], radius=2.0),
+    ]
+    assert all(ball != other for other in others)
+    assert Ball(center=[0.0], radius=1.0) != Ball(center=[0.0, 0.0], radius=1.0)  # no broadcasting
+    assert ball != (ball.center, ball.radius) and ball != "ball"
+
+
 def test_project_outside_point():
     ball = Ball(center=[1.0, 1.0], radius=2.0)
     assert np.array_equal(project_ball(ball, [4.0, 1.0]), [3.0, 1.0])

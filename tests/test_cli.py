@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import projderiv
-from projderiv import GeometricTail, SeqVector
+from projderiv import GeometricTail, SeqVector, sequences
 from projderiv.cli import fmt_seq, fmt_vec, main
 
 VERDICT_RE = re.compile(r"^VERDICT [a-z_]+ (pass|fail) \S+ \S+$")
@@ -243,6 +243,21 @@ def test_refute_where_point_and_center_are_too_far_apart(tmp_path, capsys):
     job = ball_job("refute", **FAR_APART, inputs={"x": [1e308, 0]})
     code, out, err = run(tmp_path, capsys, job)
     assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
+
+
+# x + h·w overflowed in fd_match: the job printed "RuntimeWarning: overflow encountered
+# in add" and exited with "error: vector coordinates must be finite", naming no step
+@pytest.mark.filterwarnings("error")
+def test_verify_refuses_an_fd_match_step_that_leaves_the_float_range(tmp_path, capsys):
+    job = {
+        "command": "verify",
+        "set": {"kind": "cone_rn"},
+        "inputs": {"x": [1.7e308, 1.7e308], "w": [1, 0]},
+        "options": {"radii": [1e304, 1e303, 1e302, 1e301]},
+    }
+    code, out, err = run(tmp_path, capsys, job)
+    want = "error: fd_match step 4.2499999999999998e+307 takes x ± h·w out of the float range\n"
+    assert (code, out, err) == (2, "", want)
 
 
 # ----------------------------------------------------------------- verify
@@ -533,6 +548,26 @@ def test_a_verify_job_coerces_each_vector_once_per_public_call(tmp_path, capsys,
     code, out, err = run(tmp_path, capsys, job)
     assert (code, err, len(calls)) == (0, "", 5)
     assert out.count("VERDICT") == 3
+
+
+# the escape built its result through the checking constructor, which checked its
+# 17,833 indices again after the record's 4
+def test_an_escape_job_checks_only_the_records_own_indices(tmp_path, capsys, monkeypatch):
+    checked, original = [], sequences._check_indices
+
+    def counted(indices):
+        indices = list(indices)
+        checked.extend(indices)
+        return original(indices)
+
+    monkeypatch.setattr(sequences, "_check_indices", counted)
+    overrides = [[1, 2.0], [4, 0.5], [30, 0.0], [120, 1.5]]
+    x = {"overrides": overrides, "tail": {"kind": "geometric", "a": 1.25, "rho": 0.999, "start": 10}}
+    job = {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": x, "epsilon": 1e-6}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err) == (0, "")
+    assert out.count("], [") > 17_000  # the escape's overrides, one pair apart
+    assert len(checked) <= len(overrides)
 
 
 # the cone_rn step was min(1e-5, min|x_i|/16), which is not scaled to x: from

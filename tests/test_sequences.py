@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from projderiv import (
@@ -845,3 +845,114 @@ def test_escape_witness_validation():
         interior_escape_witness(SeqVector({}, None), 0.0)
     with pytest.raises(ValueError):
         interior_escape_witness(SeqVector({}, None), np.inf)
+
+
+# ------------------------------------------------------------ canonical form
+
+# Results built from checked sequences skip the constructor's checks: each must
+# still be the checking constructor's canonical form of the same coordinates
+# (sorted indices, no override equal to the value underneath, values to the bit),
+# and support_max, read off the last override, must be the largest index.
+def magnitudes(signs=(1.0, -1.0)):
+    """Floats from 2^-1000 to 2^1000 in size, of the given signs."""
+    mantissas, exponents = st.floats(0.5, 1.0, exclude_max=True), st.integers(-1000, 1000)
+    return st.builds(lambda s, m, k: s * math.ldexp(m, k), st.sampled_from(signs), mantissas, exponents)
+
+
+@st.composite
+def seq_vectors(draw, signs=(1.0, -1.0), definite=False):
+    """Overrides on 1..60 over a tail (or none): overrides equal to the tail value underneath
+    and zeros, which shadow a positive tail, among them.  A definite draw has a tail and a
+    nonzero override at every index before its start (a sign-definite region or mixed signs)."""
+    tail = draw(st.builds(geo, magnitudes(signs), st.floats(0.05, 0.9), st.integers(1, 8 if definite else 30)))
+    if not definite and draw(st.booleans()):
+        tail = None
+    overrides = {i: draw(magnitudes(signs)) for i in range(1, tail.start)} if definite else {}
+    for i in draw(st.lists(st.integers(1, 60), max_size=12)):
+        kind = draw(st.sampled_from(["tail", "zero", "float"] if not definite else ["tail", "float"]))
+        if kind == "tail" and tail is not None and i >= tail.start:
+            overrides[i] = tail.value_at(i)
+        else:
+            overrides[i] = 0.0 if kind == "zero" else draw(magnitudes(signs))
+    return SeqVector(overrides, tail)
+
+
+def assert_checked_canonical_form(got, want):
+    assert list(got.overrides) == list(want.overrides)
+    assert bits(got.overrides.values()) == bits(want.overrides.values())
+    assert got.tail == want.tail
+    assert got.support_max == max(got.overrides, default=0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(seq_vectors())
+@example(SeqVector({1: -1.0, 3: 0.0, 5: 2.0}, geo(1.0, 0.5, 2)))  # a zero shadows the tail
+@example(SeqVector({2: 0.0, 4: 3.0}, geo(-1.0, 0.5, 3)))  # the tail and a zero both go
+def test_projection_is_the_checking_constructors_canonical_form(x):
+    if x.tail is not None and x.tail.coeff < 0.0:
+        want = SeqVector({i: v for i, v in x.overrides.items() if v > 0.0}, None)
+    else:
+        want = SeqVector({i: (v if v > 0.0 else 0.0) for i, v in x.overrides.items()}, x.tail)
+    assert_checked_canonical_form(project_cone_l2(x), want)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seq_vectors(definite=True), seq_vectors())
+@example(SeqVector({1: -1.0, 2: 2.0}, geo(1.0, 0.5, 3)), SeqVector({5: 1.0, 1: 4.0}, geo(2.0, 0.5, 2)))
+@example(SeqVector({1: 1.0, 2: -2.0}, geo(-1.0, 0.5, 3)), SeqVector({2: 0.0}, geo(2.0, 0.5, 1)))
+def test_gateaux_is_the_checking_constructors_canonical_form(x, w):
+    region = classify_l2(x)
+    if region is L2Region.ALL_POSITIVE:
+        want = w
+    elif region is L2Region.ALL_NEGATIVE:
+        want = SeqVector({}, None)
+    elif x.tail.coeff > 0.0:
+        want = SeqVector({**w.overrides, **{i: 0.0 for i, v in x.overrides.items() if v < 0.0}}, w.tail)
+    else:
+        want = SeqVector({i: w.coord(i) for i, v in x.overrides.items() if v > 0.0}, None)
+    assert_checked_canonical_form(l2_gateaux(x, w), want)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seq_vectors(signs=(1.0,)), magnitudes(signs=(1.0,)))
+@example(SeqVector({1: 2.0, 3: 0.0, 6: 1.5, 9: 0.0}, geo(0.25, 0.5, 5)), 1e-4)
+def test_escape_is_the_checking_constructors_canonical_form(x, eps):
+    assume(eps / 2.0 > 0.0)
+    got = interior_escape_witness(x, eps)
+    m = got.support_max - 1  # x is kept up to m, then m + 1 dips to -eps/2
+    head = dict(zip(range(1, m + 1), x.coords(range(1, m + 1))))
+    assert_checked_canonical_form(got, SeqVector({**head, m + 1: -eps / 2.0}, None))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seq_vectors(), st.integers(1, 70), magnitudes() | st.sampled_from([0.0, -0.0]), st.data())
+def test_edits_are_the_checking_constructors_canonical_form(x, i, value, data):
+    if x.tail is not None and i >= x.tail.start and data.draw(st.booleans()):
+        value = x.tail.value_at(i)  # set back to the tail: the override goes
+    want = SeqVector({**x.overrides, i: value}, x.tail)
+    assert_checked_canonical_form(x.with_coord(i, value), want)
+    delta = data.draw(st.dictionaries(st.integers(1, 70), magnitudes() | st.just(0.0), max_size=6))
+    want = SeqVector({**x.overrides, **{j: x.coord(j) + v for j, v in delta.items()}}, x.tail)
+    assert_checked_canonical_form(x.add_finite(delta), want)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.0, "2"])
+def test_edits_refuse_a_bad_index_as_the_constructor_does(bad):
+    x = SeqVector({1: 1.0}, geo(1.0, 0.5, 2))
+    for edit in (lambda: x.with_coord(bad, 1.0), lambda: x.add_finite({bad: 1.0})):
+        with pytest.raises(ValueError, match=r"^coordinate indices must be positive integers$"):
+            edit()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_edits_refuse_a_value_that_is_not_finite(bad):
+    x = SeqVector({1: 1.0}, geo(1.0, 0.5, 2))
+    for edit in (lambda: x.with_coord(3, bad), lambda: x.add_finite({3: bad})):
+        with pytest.raises(ValueError, match=r"^coordinate values must be finite$"):
+            edit()
+
+
+def test_a_shift_that_overflows_is_refused():
+    x = SeqVector({2: 1.7e308}, None)
+    with pytest.raises(ValueError, match=r"^coordinate values must be finite$"):
+        x.add_finite({2: 1.7e308})
