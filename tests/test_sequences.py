@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projderiv import (
@@ -917,8 +917,7 @@ def test_gateaux_is_the_checking_constructors_canonical_form(x, w):
 @given(seq_vectors(signs=(1.0,)), magnitudes(signs=(1.0,)))
 @example(SeqVector({1: 2.0, 3: 0.0, 6: 1.5, 9: 0.0}, geo(0.25, 0.5, 5)), 1e-4)
 def test_escape_is_the_checking_constructors_canonical_form(x, eps):
-    assume(eps / 2.0 > 0.0)
-    got = interior_escape_witness(x, eps)
+    got = interior_escape_witness(x, eps)  # eps/2 ≥ 2^-1002 does not underflow
     m = got.support_max - 1  # x is kept up to m, then m + 1 dips to -eps/2
     head = dict(zip(range(1, m + 1), x.coords(range(1, m + 1))))
     assert_checked_canonical_form(got, SeqVector({**head, m + 1: -eps / 2.0}, None))
