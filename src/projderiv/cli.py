@@ -244,12 +244,11 @@ def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: fl
     return ok
 
 
-def _cmd_project(job: JobSpec, lines: list[str]) -> None:
-    lines.append(f"result = {_fmt(_projection(job)(_need(job, 'x')))}")
+def _cmd_project(job: JobSpec, x, lines: list[str]) -> None:
+    lines.append(f"result = {_fmt(_projection(job)(x))}")
 
 
-def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
-    x = _need(job, "x")
+def _cmd_classify(job: JobSpec, x, lines: list[str]) -> None:
     if job.set_kind == "ball":
         region = classify_ball(job.ball, x)
         lines.append(f"region = {region.tag.value}")
@@ -263,13 +262,7 @@ def _cmd_classify(job: JobSpec, lines: list[str]) -> None:
         lines.append(f"region = {classify_l2(x).value}")
 
 
-def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
-    x = _need(job, "x")
-    if job.set_kind == "cone_l2":
-        raise JobError(
-            "derive is not available for cone_l2 (the projection is nowhere Fréchet "
-            "differentiable); use gateaux or witness"
-        )
+def _cmd_derive(job: JobSpec, x, lines: list[str]) -> None:
     w = _direction(job, x, "w")
     deriv = _derivative(job, x)
     lines.append(f"kind = {deriv.kind.value}")
@@ -288,8 +281,8 @@ def _cmd_derive(job: JobSpec, lines: list[str]) -> None:
         lines.append(f"apply(w) = {fmt_vec(deriv.apply(w))}")
 
 
-def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
-    x, w = _need(job, "x"), _need(job, "w")
+def _cmd_gateaux(job: JobSpec, x, lines: list[str]) -> None:
+    w = _need(job, "w")
     if job.set_kind == "cone_l2":
         lines.append(f"result = {_fmt(l2_gateaux(x, w))}")
         return
@@ -303,8 +296,7 @@ def _cmd_gateaux(job: JobSpec, lines: list[str]) -> None:
     lines.append(f"result = {_fmt(deriv.apply(w))}")
 
 
-def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
-    x = _need(job, "x")
+def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     seed = job.options.get("seed", 0)
     f = _projection(job)
     p = f(x)
@@ -330,8 +322,13 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
             f"default scan radii round to 0 at smooth radius {_fmt(delta)}; supply option radii"
         )
     samples = job.options.get("samples_per_radius", 64)
+    f, apply = _clamp, deriv._apply
+    if job.ball:  # P_{c+B}(x) = c + P_B(x − c): scan and difference at x − c, on B centred at 0
+        x = _offset(job.ball, x)
+        if not np.isfinite(x).all():
+            raise JobError("x and the center are too far apart: x − center leaves the float range")
+        f = partial(_project_ball, Ball._parsed(np.zeros(x.size), job.ball.radius))
     # the scan's and the quotient's points are finite and of x's dimension: no check again
-    f, apply = (partial(_project_ball, job.ball) if job.ball else _clamp), deriv._apply
     scan = strict_residual_scan(f, apply, x, radii, samples, seed)
     for radius, residual in zip(scan.radii, scan.residuals):
         lines.append(f"scan radius={_fmt(radius)} residual={_fmt(residual)}")
@@ -359,11 +356,8 @@ def _cmd_verify(job: JobSpec, lines: list[str]) -> bool:
     return ok
 
 
-def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
-    x = _need(job, "x")
+def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
     step = min(job.options.get("steps", (FD_STEP,)))  # only the smallest step is used
-    if job.set_kind == "cone_l2":
-        raise JobError("refute applies to ball and cone_rn; for cone_l2 use witness")
     d = _direction(job, x, "d")
     cone_axis = job.set_kind == "cone_rn" and d is None
     if cone_axis:
@@ -386,10 +380,7 @@ def _cmd_refute(job: JobSpec, lines: list[str]) -> bool:
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 
 
-def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
-    if job.set_kind != "cone_l2":
-        raise JobError("witness applies to cone_l2 only")
-    x = _need(job, "x")
+def _cmd_witness(job: JobSpec, x, lines: list[str]) -> bool:
     has_n, has_eps = "n" in job.inputs, "epsilon" in job.inputs
     if has_n == has_eps:
         raise JobError("witness needs exactly one of inputs n (derivative) or epsilon (interior)")
@@ -410,24 +401,31 @@ def _cmd_witness(job: JobSpec, lines: list[str]) -> bool:
     return _verdict(lines, "escape", outside and gap < eps, gap, eps)
 
 
-# command -> handler; handlers that print no VERDICT line return None
+_DENSE = ("ball", "cone_rn")
+# command -> (handler, the set kinds it runs on, the refusal on any other kind); a handler
+# takes the job, its input x and the report lines, and returns None if it prints no VERDICT
 _HANDLERS = {
-    "project": _cmd_project,
-    "classify": _cmd_classify,
-    "derive": _cmd_derive,
-    "gateaux": _cmd_gateaux,
-    "verify": _cmd_verify,
-    "refute": _cmd_refute,
-    "witness": _cmd_witness,
+    "project": (_cmd_project, SET_KINDS, None),
+    "classify": (_cmd_classify, SET_KINDS, None),
+    "derive": (_cmd_derive, _DENSE, "derive is not available for cone_l2 (the projection is "
+               "nowhere Fréchet differentiable); use gateaux or witness"),
+    "gateaux": (_cmd_gateaux, SET_KINDS, None),
+    "verify": (_cmd_verify, SET_KINDS, None),
+    "refute": (_cmd_refute, _DENSE, "refute applies to ball and cone_rn; for cone_l2 use witness"),
+    "witness": (_cmd_witness, ("cone_l2",), "witness applies to cone_l2 only"),
 }
 COMMANDS = tuple(_HANDLERS)
 
 
 def run_job(job: JobSpec) -> tuple[list[str], bool]:
     """Execute a job; returns (report lines, all-verdicts-passed)."""
+    handler, kinds, refusal = _HANDLERS[job.command]
+    if job.set_kind not in kinds:
+        raise JobError(refusal)
+    x = _need(job, "x")  # every command reads x
     lines = _echo_lines(job)
     try:
-        ok = _HANDLERS[job.command](job, lines)
+        ok = handler(job, x, lines)
     except (ValueError, ArithmeticError) as e:
         raise JobError(str(e)) from e
     return lines, ok is not False

@@ -52,10 +52,6 @@ class ConeRegion(Enum):
     HAS_ZERO = "has_zero"  # at least one zero coordinate
 
 
-def classify_cone(x) -> ConeRegion:
-    return sign_partition(x).region
-
-
 def project_cone(x) -> Vector:
     """Nearest point of the nonnegative orthant (coordinatewise clamp), row by row for a stack."""
     return _clamp(as_points(x))

@@ -44,6 +44,7 @@ CERTIFICATE_GATE = 64.0 * _EPS
 def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -> Vector:
     """One-sided difference quotient (f(x + t w) - f(x)) / t at step t."""
     x, w = as_vector(x), as_vector(w)
+    _same_dim(x, w)
     t = float(step)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("step must be positive and finite")

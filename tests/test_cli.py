@@ -245,6 +245,18 @@ def test_refute_where_point_and_center_are_too_far_apart(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
 
 
+# verify scans and differences at x − c, on the ball of radius r centred at 0: where
+# x − c overflows, the first job printed strict_decay 31.1 (a false failure) and the
+# second passed; both are refused, before any scan line
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius,x", [(1e307, [-1e308, 1]), (1, [-1e308, 0])], ids=["r1e307", "r1"])
+def test_verify_where_point_and_center_are_too_far_apart(tmp_path, capsys, radius, x):
+    job = ball_job("verify", [1e308, 0], radius, inputs={"x": x})
+    code, out, err = run(tmp_path, capsys, job)
+    want = "error: x and the center are too far apart: x − center leaves the float range\n"
+    assert (code, out, err) == (2, "", want)
+
+
 # x + h·w overflowed in fd_match: the job printed "RuntimeWarning: overflow encountered
 # in add" and exited with "error: vector coordinates must be finite", naming no step
 @pytest.mark.filterwarnings("error")
@@ -272,6 +284,16 @@ def test_verify_ball_interior_passes(tmp_path, capsys):
     assert [v.split()[1] for v in verdicts] == ["oracle_agreement", "strict_decay", "fd_match"]
     assert all(v.split()[2] == "pass" for v in verdicts)
     assert sum(1 for l in out.splitlines() if l.startswith("scan radius=")) == 4
+
+
+# 1e8 away from the origin, the scan's points and the quotient's ends rounded at 1e8:
+# residuals grew below radius 1e-3 (strict_decay 14.8) and fd_match read 3.4e-3
+def test_verify_ball_centred_1e8_away_passes(tmp_path, capsys):
+    job = ball_job("verify", [1e8, -3e7], 2, inputs={"x": [100000003.5, -29999998.25]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err) == (0, "")
+    verdicts = [l.split()[1:3] for l in out.splitlines() if l.startswith("VERDICT")]
+    assert verdicts == [["oracle_agreement", "pass"], ["strict_decay", "pass"], ["fd_match", "pass"]]
 
 
 def test_verify_ball_sphere_is_unusable(tmp_path, capsys):
@@ -426,6 +448,66 @@ def test_witness_wrong_set_kind(tmp_path, capsys):
     )
     assert code == 2
     assert "cone_l2" in err
+
+
+# ------------------------------------------------------------ command table
+
+SEQ_X = {"overrides": [[1, -2.0]], "tail": {"kind": "geometric", "a": 1.0, "rho": 0.5, "start": 1}}
+RUNS = [  # one job per (command, set kind) pair that runs, every verdict passing
+    ball_job("project", [0, 0], 1, inputs={"x": [2, 0]}),
+    {"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2]}},
+    {"command": "project", "set": {"kind": "cone_l2"}, "inputs": {"x": SEQ_X}},
+    ball_job("classify", [0, 0], 1, inputs={"x": [2, 0]}),
+    {"command": "classify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2]}},
+    {"command": "classify", "set": {"kind": "cone_l2"}, "inputs": {"x": SEQ_X}},
+    ball_job("derive", [0, 0], 1, inputs={"x": [2, 0]}),
+    {"command": "derive", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2]}},
+    ball_job("gateaux", [0, 0], 1, inputs={"x": [1, 0], "w": [1, 0]}),
+    {"command": "gateaux", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 0], "w": [1, 1]}},
+    {"command": "gateaux", "set": {"kind": "cone_l2"}, "inputs": {"x": SEQ_X, "w": SEQ_X}},
+    ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}),
+    {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2]}},
+    {"command": "verify", "set": {"kind": "cone_l2"}, "inputs": {"x": SEQ_X}},
+    ball_job("refute", [0, 0], 1, inputs={"x": [1, 0]}),
+    {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, 0]}},
+    {"command": "witness", "set": {"kind": "cone_l2"}, "inputs": {"x": SEQ_X, "n": 10}},
+]
+DERIVE_L2 = (
+    "derive is not available for cone_l2 (the projection is nowhere Fréchet differentiable); "
+    "use gateaux or witness"
+)
+REFUSED = {  # (command, set kind) -> its refusal, printed before any input is read
+    ("derive", "cone_l2"): DERIVE_L2,
+    ("refute", "cone_l2"): "refute applies to ball and cone_rn; for cone_l2 use witness",
+    ("witness", "ball"): "witness applies to cone_l2 only",
+    ("witness", "cone_rn"): "witness applies to cone_l2 only",
+}
+
+
+def test_the_command_table_covers_every_pair():
+    runs = {(job["command"], job["set"]["kind"]) for job in RUNS}
+    assert len(runs) == len(RUNS) == 17 and not runs & set(REFUSED)
+    assert runs | set(REFUSED) == set(itertools.product(projderiv.cli.COMMANDS, projderiv.cli.SET_KINDS))
+
+
+@pytest.mark.parametrize("job", RUNS, ids=lambda job: f"{job['command']}-{job['set']['kind']}")
+def test_every_allowed_pair_runs(tmp_path, capsys, job):
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"command: {job['command']}\nset: {job['set']['kind']}")
+
+
+# derive and refute on cone_l2 read x first: with no x, they printed
+# "command 'derive' on set 'cone_l2' needs input 'x'"
+@pytest.mark.parametrize("with_x", [True, False], ids=["with-x", "no-x"])
+@pytest.mark.parametrize("pair", sorted(REFUSED), ids="-".join)
+def test_every_refused_pair_is_refused_before_its_inputs_are_read(tmp_path, capsys, pair, with_x):
+    command, kind = pair
+    x = {"cone_l2": SEQ_X, "ball": [2, 0], "cone_rn": [1, -2]}[kind]
+    job = ball_job(command, [0, 0], 1) if kind == "ball" else {"command": command, "set": {"kind": kind}}
+    job["inputs"] = {"x": x, "n": 10} if with_x else {}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", f"error: {REFUSED[pair]}\n")
 
 
 def test_verify_scan_radius_below_resolution_is_unusable(tmp_path, capsys):

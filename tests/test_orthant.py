@@ -4,7 +4,6 @@ import pytest
 from projderiv import (
     ConeDerivKind,
     ConeRegion,
-    classify_cone,
     cone_frechet_derivative,
     cone_refute_frechet,
     project_cone,
@@ -64,23 +63,23 @@ def test_sign_partition_signs_are_exact():
     # the clamp is the identity near any nonzero coordinate, however small
     part = sign_partition([1e-15, 1.0])
     assert part.plus.tolist() == [True, True] and not part.zero.any()
-    assert classify_cone([1e-15, 1.0]) is ConeRegion.INTERIOR
-    assert classify_cone([1e15, 1e-3]) is ConeRegion.INTERIOR
-    assert classify_cone([1e-200, -1e-200]) is ConeRegion.MIXED_SIGNS
-    assert classify_cone([5e-324, 1.0]) is ConeRegion.INTERIOR
+    assert sign_partition([1e-15, 1.0]).region is ConeRegion.INTERIOR
+    assert sign_partition([1e15, 1e-3]).region is ConeRegion.INTERIOR
+    assert sign_partition([1e-200, -1e-200]).region is ConeRegion.MIXED_SIGNS
+    assert sign_partition([5e-324, 1.0]).region is ConeRegion.INTERIOR
     part = sign_partition([0.0, -0.0, -5e-324])
     assert part.zero.tolist() == [True, True, False] and part.minus.tolist() == [False, False, True]
 
 
 def test_classify_regions():
-    assert classify_cone([2.0, 0.5]) is ConeRegion.INTERIOR
-    assert classify_cone([-2.0, -0.5]) is ConeRegion.NEGATIVE_INTERIOR
-    assert classify_cone([2.0, -0.5]) is ConeRegion.MIXED_SIGNS
-    assert classify_cone([2.0, 0.0]) is ConeRegion.HAS_ZERO
+    assert sign_partition([2.0, 0.5]).region is ConeRegion.INTERIOR
+    assert sign_partition([-2.0, -0.5]).region is ConeRegion.NEGATIVE_INTERIOR
+    assert sign_partition([2.0, -0.5]).region is ConeRegion.MIXED_SIGNS
+    assert sign_partition([2.0, 0.0]).region is ConeRegion.HAS_ZERO
     # one dimension: no mixed-sign region exists
-    assert classify_cone([5.0]) is ConeRegion.INTERIOR
-    assert classify_cone([-5.0]) is ConeRegion.NEGATIVE_INTERIOR
-    assert classify_cone([0.0]) is ConeRegion.HAS_ZERO
+    assert sign_partition([5.0]).region is ConeRegion.INTERIOR
+    assert sign_partition([-5.0]).region is ConeRegion.NEGATIVE_INTERIOR
+    assert sign_partition([0.0]).region is ConeRegion.HAS_ZERO
 
 
 def test_derivative_kind_per_region():
@@ -146,7 +145,7 @@ def test_mask_matches_central_difference():
     for _ in range(50):
         dim = rng.integers(2, 9)
         x = rng.uniform(0.3, 3.0, size=dim) * rng.choice([-1.0, 1.0], size=dim)
-        if classify_cone(x) is not ConeRegion.MIXED_SIGNS:
+        if sign_partition(x).region is not ConeRegion.MIXED_SIGNS:
             continue
         deriv = cone_frechet_derivative(x)
         w = rng.normal(size=dim)

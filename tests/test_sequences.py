@@ -16,7 +16,6 @@ from projderiv import (
     GeometricTail,
     L2Region,
     SeqVector,
-    classify_cone,
     classify_l2,
     cone_frechet_derivative,
     distance,
@@ -27,6 +26,7 @@ from projderiv import (
     l2_nonfrechet_witness,
     project_cone,
     project_cone_l2,
+    sign_partition,
 )
 from projderiv.cli import fmt_seq
 
@@ -504,7 +504,7 @@ def test_classify_matches_dense_classifier_on_truncations():
         for x in (positive, negative, mixed, base):
             region = classify_l2(x)
             seen.add(region)
-            assert classify_cone(x.truncate(64)) is expected[region]
+            assert sign_partition(x.truncate(64)).region is expected[region]
     assert seen == set(expected)
 
 

@@ -94,6 +94,15 @@ def test_fd_rejects_bad_steps(step):
         fd_directional(project_cone, [1.0], [1.0], step)
 
 
+# a direction of the wrong length broadcast against x: a 3-vector quotient at a 1-vector x,
+# and a refutation with gap 1 that certified nothing
+def test_fd_and_refute_refuse_a_direction_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 3$"):
+        fd_directional(project_cone, [1.0], [1.0, -1.0, 2.0])
+    with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
+        refute_linearity(project_cone, [1.0, 0.0], [1.0])
+
+
 def test_scan_zero_residuals_for_exact_identity():
     scan = strict_residual_scan(lambda v: v, lambda w: w, [0.3, -0.7], seed=1)
     assert scan.residuals == (0.0, 0.0, 0.0, 0.0)
