@@ -13,23 +13,21 @@ onto the sphere outside.  Its derivative splits into three regimes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .vectors import Vector, as_points, as_vector, norm, _same_dim, _scaled
+from .vectors import Vector, as_points, as_vector, norm, _same_dim, _scaled, _Value
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Closed ball with the given center and positive radius."""
+class Ball(_Value):
+    """Closed ball with the given center and positive radius, equal and hashed by value."""
 
-    center: Vector
-    radius: float
+    __slots__ = ("center", "radius")
 
-    def __post_init__(self):
-        self._set(as_vector(self.center), self.radius)
+    def __init__(self, center: Vector, radius: float):
+        self._set(as_vector(center), radius)
 
     def __eq__(self, other) -> bool:  # by value: the same radius and equal centers
         same = isinstance(other, Ball) and self.radius == other.radius
@@ -60,8 +58,7 @@ class BallRegionTag(Enum):
     SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
-class BallRegion:
+class BallRegion(NamedTuple):
     tag: BallRegionTag
     signed_gap: float  # ‖x - center‖ - radius
 
@@ -134,8 +131,7 @@ class BallDerivKind(Enum):
     NOT_FRECHET = "not_frechet"
 
 
-@dataclass(frozen=True)
-class BallDeriv:
+class BallDeriv(NamedTuple):
     """Derivative of the ball projection at a base point.
 
     ``IDENTITY`` and ``EXTERIOR`` are genuine (strict) Fréchet derivatives.  At a sphere

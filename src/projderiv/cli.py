@@ -15,10 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -156,18 +156,19 @@ def _section(raw: dict, name: str, parsers: dict) -> dict:
     return {key: parse(section[key], f"{what} {key}") for key, parse in parsers.items() if key in section}
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     set_kind: str
     ball: Ball | None = None
-    inputs: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
+    inputs: Mapping = MappingProxyType({})
+    options: Mapping = MappingProxyType({})
 
 
 def load_job(path: str) -> JobSpec:
     try:
-        return _job_spec(json.loads(Path(path).read_text()))
+        with open(path) as f:  # as Path.read_text, with no Path to build
+            raw = json.load(f)
+        return _job_spec(raw)
     except OSError as e:
         raise JobError(f"cannot read job file: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # not text, not JSON, too deep
@@ -237,6 +238,14 @@ def _direction(job: JobSpec, x, key: str):
     if v is not None:
         _same_dim(x, v)
     return v
+
+
+def _centred(ball: Ball, x):
+    """x − center, refused where it leaves the float range."""
+    d = _offset(ball, x)
+    if not np.isfinite(d).all():
+        raise JobError("x and the center are too far apart: x − center leaves the float range")
+    return d
 
 
 def _verdict(lines: list[str], op: str, ok: bool, measured: float, threshold: float) -> bool:
@@ -324,9 +333,7 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     samples = job.options.get("samples_per_radius", 64)
     f, apply = _clamp, deriv._apply
     if job.ball:  # P_{c+B}(x) = c + P_B(x − c): scan and difference at x − c, on B centred at 0
-        x = _offset(job.ball, x)
-        if not np.isfinite(x).all():
-            raise JobError("x and the center are too far apart: x − center leaves the float range")
+        x = _centred(job.ball, x)
         f = partial(_project_ball, Ball._parsed(np.zeros(x.size), job.ball.radius))
     # the scan's and the quotient's points are finite and of x's dimension: no check again
     scan = strict_residual_scan(f, apply, x, radii, samples, seed)
@@ -367,7 +374,7 @@ def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
             raise JobError(f"{e}; supply input d for a custom probe") from e
     else:
         if job.ball:
-            d = _offset(job.ball, x) if d is None else d  # inf if too far apart: refused below
+            d = _centred(job.ball, x) if d is None else d
             if not d.any():
                 raise JobError("refutation direction is zero; supply input d")
         cert = refute_linearity(_projection(job), x, d, step)

@@ -11,8 +11,8 @@ certifies numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,13 +20,15 @@ from .vectors import Vector, as_points, as_vector
 from .verify import FD_STEP, Refutation, refute_linearity
 
 
-@dataclass(frozen=True, eq=False)
-class SignPartition:
-    """Disjoint read-only boolean masks of the coordinates by exact sign."""
+class SignPartition(NamedTuple):
+    """Disjoint read-only boolean masks of the coordinates by exact sign, equal and hashed by
+    identity (comparing mask arrays elementwise would have no single truth value)."""
 
     plus: np.ndarray
     minus: np.ndarray
     zero: np.ndarray
+
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def region(self) -> ConeRegion:
@@ -69,8 +71,7 @@ class ConeDerivKind(Enum):
     DIRECTIONAL_ONLY = "directional_only"
 
 
-@dataclass(frozen=True)
-class ConeDeriv:
+class ConeDeriv(NamedTuple):
     """Derivative structure of the orthant projection at a base point.
 
     The first three kinds are strict Fréchet derivatives (linear maps).

@@ -24,37 +24,34 @@ import math
 import operator
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import compress
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .vectors import Vector, parse_number, parse_numbers, _INT_LIMIT
+from .vectors import Vector, parse_number, parse_numbers, _INT_LIMIT, _Value
 
 _MIN_NORMAL = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class GeometricTail:
-    """Tail coordinates coeff * ratio**(i - start) for i >= start."""
+class GeometricTail(_Value):
+    """Tail coordinates coeff * ratio**(i - start) for i >= start, equal and hashed by its fields."""
 
-    coeff: float
-    ratio: float
-    start: int
+    __slots__ = ("coeff", "ratio", "start")
 
-    def __post_init__(self):
-        coeff, ratio = float(self.coeff), float(self.ratio)
+    def __init__(self, coeff: float, ratio: float, start: int):
+        coeff, ratio = float(coeff), float(ratio)
         if not math.isfinite(coeff):
             raise ValueError("tail coefficient must be finite")
         if not 0.0 < ratio < 1.0:
             raise ValueError("tail ratio must lie strictly between 0 and 1")
-        if isinstance(self.start, bool) or not isinstance(self.start, int) or self.start < 1:
+        if isinstance(start, bool) or not isinstance(start, int) or start < 1:
             raise ValueError("tail start must be a positive integer index")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "start", start)
 
     def values(self, indices) -> list[float]:
         """The tail's coordinates at the given indices, in one pass.
@@ -95,26 +92,25 @@ def _check_index(i) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class SeqVector:
+class SeqVector(_Value):
     """Square-summable sequence: finite overrides over an optional geometric tail.
 
     Construction canonicalizes: a zero-coefficient tail becomes the zero
     tail, and overrides exactly equal to the tail value underneath them are
     dropped.  Equality is therefore representation equality of canonical
-    forms, with no tolerance.
+    forms, with no tolerance.  The overrides are a dict, so it is unhashable.
     """
 
-    overrides: Mapping[int, float] = field(default_factory=dict)
-    tail: GeometricTail | None = None
+    __slots__ = ("overrides", "tail")
+    __hash__ = None
 
-    def __post_init__(self):
-        _check_indices(self.overrides)
-        indices = sorted(self.overrides)
-        values = list(map(float, map(self.overrides.__getitem__, indices)))
+    def __init__(self, overrides: Mapping = MappingProxyType({}), tail: GeometricTail | None = None):
+        _check_indices(overrides)
+        indices = sorted(overrides)
+        values = list(map(float, map(overrides.__getitem__, indices)))
         if not all(map(math.isfinite, values)):
             raise ValueError("coordinate values must be finite")
-        self._canonical(indices, values, self.tail)
+        self._canonical(indices, values, tail)
 
     def _canonical(self, indices: list[int], values: list[float], tail) -> SeqVector:
         """Set the canonical form of the overrides (sorted distinct positive int indices, finite
@@ -223,6 +219,8 @@ def distance(x: SeqVector, y: SeqVector) -> float:
     h the tail values just past that index, as an exact rational.  Every term
     is scaled by one power of two and rounded once before one exactly
     rounded sum."""
+    from fractions import Fraction  # here, not at load: it and decimal add ~2 ms to every start-up
+
     signed = ((1.0, x.tail), (-1.0, y.tail))
     tails = [] if x.tail == y.tail else [(s, t) for s, t in signed if t is not None]
     last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
@@ -307,8 +305,7 @@ def l2_gateaux(x: SeqVector, w: SeqVector) -> SeqVector:
     return SeqVector.__new__(SeqVector)._canonical(idx, w.coords(idx), None)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Two-perturbation evidence that the Gâteaux candidate is not Fréchet.
 
     Perturbing the pure-tail coordinate n to -x_n leaves residual_u, and to

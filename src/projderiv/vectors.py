@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -76,3 +77,34 @@ def _scaled(d: Vector) -> tuple[Vector, Vector]:
 def _same_dim(x: Vector, y: Vector) -> None:
     if x.shape[-1] != y.shape[-1]:
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+
+
+class _Value:
+    """Immutable value whose fields are its ``__slots__``, set once by a checking constructor.
+
+    Equal and hashed by its fields, shown as ``Name(field=value, ...)``, and copied and
+    pickled through the constructor, so a copy is checked as the original was."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):  # _key: the field values, a tuple as every subclass has 2 or more
+        cls._key = property(attrgetter(*cls.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._key

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +51,7 @@ def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -
     return (np.asarray(f(x + t * w), dtype=np.float64) - fx) / t
 
 
-@dataclass(frozen=True)
-class ResidualScan:
+class ResidualScan(NamedTuple):
     radii: tuple[float, ...]
     residuals: tuple[float, ...]
 
@@ -150,8 +148,7 @@ def strict_residual_scan(
     return ResidualScan(radii=radii, residuals=tuple(worst.tolist()))
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """Certificate that no linear map matches both one-sided derivatives.
 
     ``forward_limit`` is the one-sided derivative along ``direction`` and

@@ -242,7 +242,8 @@ def test_derive_where_w_is_near_the_float_max(tmp_path, capsys):
 def test_refute_where_point_and_center_are_too_far_apart(tmp_path, capsys):
     job = ball_job("refute", **FAR_APART, inputs={"x": [1e308, 0]})
     code, out, err = run(tmp_path, capsys, job)
-    assert (code, out, err) == (2, "", "error: vector coordinates must be finite\n")
+    want = "error: x and the center are too far apart: x − center leaves the float range\n"
+    assert (code, out, err) == (2, "", want)
 
 
 # verify scans and differences at x − c, on the ball of radius r centred at 0: where
