@@ -30,25 +30,24 @@ BALL = Ball([1.0, -2.0], 3.0)
 
 # type -> (an instance, its first field)
 INSTANCES = {
-    "Ball": (lambda: BALL, "center"),
-    "BallRegion": (lambda: classify_ball(BALL, [9.0, 0.0]), "tag"),
-    "BallDeriv": (lambda: ball_frechet_derivative(BALL, [9.0, 0.0]), "kind"),
-    "SignPartition": (lambda: sign_partition([1.0, 0.0, -1.0]), "plus"),
-    "ConeDeriv": (lambda: cone_frechet_derivative([1.0, -1.0]), "kind"),
-    "ResidualScan": (lambda: ResidualScan((1e-2, 1e-3), (0.5, 0.05)), "radii"),
-    "Refutation": (lambda: cone_refute_frechet([1.0, 0.0]), "direction"),
-    "WitnessReport": (lambda: l2_nonfrechet_witness(SeqVector({}, GeometricTail(1.0, 0.5, 1)), 9), "n"),
-    "JobSpec": (lambda: JobSpec("project", "ball", BALL), "command"),
-    "GeometricTail": (lambda: TAIL, "coeff"),
-    "SeqVector": (lambda: SEQ, "overrides"),
+    "Ball": (BALL, "center"),
+    "BallRegion": (classify_ball(BALL, [9.0, 0.0]), "tag"),
+    "BallDeriv": (ball_frechet_derivative(BALL, [9.0, 0.0]), "kind"),
+    "SignPartition": (sign_partition([1.0, 0.0, -1.0]), "plus"),
+    "ConeDeriv": (cone_frechet_derivative([1.0, -1.0]), "kind"),
+    "ResidualScan": (ResidualScan((1e-2, 1e-3), (0.5, 0.05)), "radii"),
+    "Refutation": (cone_refute_frechet([1.0, 0.0]), "direction"),
+    "WitnessReport": (l2_nonfrechet_witness(SeqVector({}, GeometricTail(1.0, 0.5, 1)), 9), "n"),
+    "JobSpec": (JobSpec("project", "ball", BALL), "command"),
+    "GeometricTail": (TAIL, "coeff"),
+    "SeqVector": (SEQ, "overrides"),
 }
 VALUES = {"Ball": BALL, "GeometricTail": TAIL, "SeqVector": SEQ}
 
 
 @pytest.mark.parametrize("name", INSTANCES)
 def test_fields_cannot_be_assigned(name):
-    make, field = INSTANCES[name]
-    value = make()
+    value, field = INSTANCES[name]
     assert type(value).__name__ == name
     before = getattr(value, field)
     with pytest.raises(AttributeError):
