@@ -154,8 +154,7 @@ class BallDeriv(NamedTuple):
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
         w = as_points(w)
-        if w.shape[-1] != self.dim:
-            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {self.dim}")
+        _same_dim(self.dim, w)
         return self._apply(w)
 
     def _apply(self, w: Vector) -> Vector:

@@ -314,7 +314,7 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
         x, p = x.truncate(64), p.truncate(64)
         err = float(np.max(np.abs(p - project_cone(x))))
         ok = _verdict(lines, "truncation_consistency", err == 0.0, err, 0.0)
-    cert = qp_projection_oracle(job.ball or "orthant", x, p)
+    cert = qp_projection_oracle(job.ball, x, p)
     ok &= _verdict(lines, "oracle_agreement", cert <= CERTIFICATE_GATE, cert, CERTIFICATE_GATE)
     if job.set_kind == "cone_l2":
         return ok
@@ -366,23 +366,23 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
 def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
     step = min(job.options.get("steps", (FD_STEP,)))  # only the smallest step is used
     d = _direction(job, x, "d")
-    cone_axis = job.set_kind == "cone_rn" and d is None
+    if job.ball and d is None:
+        d = _centred(job.ball, x)
+    cone_axis = d is None  # cone_rn's default probe, along its first zero coordinate
     if cone_axis:
         try:
             cert = cone_refute_frechet(x, step)
         except ValueError as e:
             raise JobError(f"{e}; supply input d for a custom probe") from e
     else:
-        if job.ball:
-            d = _centred(job.ball, x) if d is None else d
-            if not d.any():
-                raise JobError("refutation direction is zero; supply input d")
+        if not d.any():
+            raise JobError("refutation direction is zero; supply input d")
         cert = refute_linearity(_projection(job), x, d, step)
     lines.append(f"direction = {fmt_vec(cert.direction)}")
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
         lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
-    threshold = refutation_threshold(job.ball or "orthant", x, cert.direction, step)
+    threshold = refutation_threshold(job.ball, x, cert.direction, step)
     lines.append(f"gap = {_fmt(cert.gap)}")
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 

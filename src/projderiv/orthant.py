@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .vectors import Vector, as_points, as_vector
+from .vectors import Vector, as_points, as_vector, _same_dim
 from .verify import FD_STEP, Refutation, refute_linearity
 
 
@@ -93,9 +93,8 @@ class ConeDeriv(NamedTuple):
 
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
-        w, n = as_points(w), self.partition.plus.size
-        if w.shape[-1] != n:
-            raise ValueError(f"dimension mismatch: {w.shape[-1]} vs {n}")
+        w = as_points(w)
+        _same_dim(self.partition.plus, w)
         return self._apply(w)
 
     def _apply(self, w: Vector) -> Vector:

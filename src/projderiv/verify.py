@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .balls import Ball
 from .vectors import Vector, as_vector, norm, _same_dim, _scaled
+
+if TYPE_CHECKING:
+    from .balls import Ball
 
 _EPS = float(np.finfo(np.float64).eps)
 # Forward-difference step of every refutation, and the cap on verify's fd_match step
@@ -175,30 +177,28 @@ def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP)
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
 
 
-def refutation_threshold(feasible: Ball | str, x, d, step: float = FD_STEP) -> float:
+def refutation_threshold(ball: Ball | None, x, d, step: float = FD_STEP) -> float:
     """Gap size above which refute_linearity counts as a refutation.
 
     100x a forward-difference error budget at step t, in units of length (2^k
     times a job has 2^k times its threshold): t·‖d‖·(‖d‖/r) + eps·(‖x_d‖ + ‖d‖)/t.
-    On a Ball of radius r, x_d = x; the ``"orthant"`` clamp has no curvature term,
-    and x_d is x on d's support (coordinates d does not move stay exact).
+    On a Ball of radius r, x_d = x; on the nonnegative orthant (``ball`` None) the clamp has
+    no curvature term, and x_d is x on d's support (coordinates d does not move stay exact).
     """
     x, d = as_vector(x), as_vector(d)
     _same_dim(x, d)
     nd, t = float(norm(d)), float(step)
-    if isinstance(feasible, Ball):
-        return 100.0 * (t * nd * (nd / feasible.radius) + _EPS * (float(norm(x)) + nd) / t)
-    if feasible != "orthant":
-        raise ValueError("feasible must be a Ball or 'orthant'")
+    if ball:
+        return 100.0 * (t * nd * (nd / ball.radius) + _EPS * (float(norm(x)) + nd) / t)
     return 100.0 * (_EPS * (float(norm(x[d != 0.0])) + nd) / t)
 
 
-def qp_projection_oracle(feasible: Ball | str, x, p) -> float:
+def qp_projection_oracle(ball: Ball | None, x, p) -> float:
     """Optimality certificate for a claimed nearest point p of x.
 
     p = P_C(x) iff p ∈ C and x − p lies in the normal cone of C at p
-    (Bauschke & Combettes 2017, Thm 3.16).  ``feasible`` is a Ball or the
-    string ``"orthant"`` (nonnegative coordinates).  With g = x − p:
+    (Bauschke & Combettes 2017, Thm 3.16).  C is the Ball ``ball``, or the
+    nonnegative orthant where ``ball`` is None.  With g = x − p:
 
     * ball, d = p − c: ‖d‖ ≤ r; g = λd with λ ≥ 0, measured as
       ‖ ‖g‖d − ‖d‖g ‖ / max(‖g‖, ‖d‖), which to first order is how far p must
@@ -215,14 +215,10 @@ def qp_projection_oracle(feasible: Ball | str, x, p) -> float:
     """
     x, p = as_vector(x), as_vector(p)
     _same_dim(x, p)
-    ball = isinstance(feasible, Ball)
+    rest = ()
     if ball:
-        _same_dim(x, feasible.center)
-        rest = (feasible.center, [feasible.radius])
-    elif feasible == "orthant":
-        rest = ()
-    else:
-        raise ValueError("feasible must be a Ball or 'orthant'")
+        _same_dim(x, ball.center)
+        rest = (ball.center, [ball.radius])
     n = x.size
     s, _ = _scaled(np.concatenate((x, p, *rest)))
     x, p = s[:n], s[n : 2 * n]

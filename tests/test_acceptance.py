@@ -84,7 +84,7 @@ def test_acceptance_02_oracle_agreement():
         x = rng.normal(scale=2.0, size=dim)
         ball = Ball(center=rng.normal(size=dim), radius=float(rng.uniform(0.5, 2.0)))
         cert_ball = qp_projection_oracle(ball, x, project_ball(ball, x))
-        cert_cone = qp_projection_oracle("orthant", x, project_cone(x))
+        cert_cone = qp_projection_oracle(None, x, project_cone(x))
         worst = max(worst, cert_ball, cert_cone)
     _report(2, "oracle-agreement", worst <= CERTIFICATE_GATE)
 

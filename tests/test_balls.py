@@ -426,7 +426,7 @@ def test_one_point_error_messages():
     deriv = ball_frechet_derivative(ball, [3.0, 4.0])
     with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         project_ball(ball, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         deriv.apply([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
         project_ball(ball, [1.0, np.nan])

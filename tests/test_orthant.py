@@ -198,7 +198,7 @@ def test_stacked_projection_and_derivative_match_row_by_row(n):
 
 def test_one_point_error_messages():
     deriv = cone_frechet_derivative([1.0, -2.0])
-    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         deriv.apply([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match=r"^vector coordinates must be finite$"):
         deriv.apply([1.0, np.nan])
