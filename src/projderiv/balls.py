@@ -71,8 +71,7 @@ def sphere_tolerance(radius: float) -> float:
 
 def classify_ball(ball: Ball, x) -> BallRegion:
     """Classify x as interior / exterior / on the sphere, with ties to sphere."""
-    x = as_vector(x)
-    _same_dim(ball.center, x)
+    x = _same_dim(ball.center, as_vector(x))
     gap = float(norm(_offset(ball, x))) - ball.radius
     if abs(gap) <= sphere_tolerance(ball.radius):
         return BallRegion(tag=BallRegionTag.SPHERE, signed_gap=gap)
@@ -82,9 +81,7 @@ def classify_ball(ball: Ball, x) -> BallRegion:
 
 def project_ball(ball: Ball, x) -> Vector:
     """Nearest point of the closed ball, row by row: x inside, radial pull-back outside."""
-    x = as_points(x)
-    _same_dim(ball.center, x)
-    return _project_ball(ball, x)
+    return _project_ball(ball, _same_dim(ball.center, as_points(x)))
 
 
 def _project_ball(ball: Ball, x: Vector) -> Vector:
@@ -153,9 +150,7 @@ class BallDeriv(NamedTuple):
 
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
-        w = as_points(w)
-        _same_dim(self.dim, w)
-        return self._apply(w)
+        return self._apply(_same_dim(self.dim, as_points(w)))
 
     def _apply(self, w: Vector) -> Vector:
         """``apply`` on a finite float64 (n,) or (S, n) array of dimension ``dim``, unchecked."""
@@ -205,5 +200,4 @@ def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:
     deriv = ball_frechet_derivative(ball, x)  # checks x, and x and the center share a dimension
     if deriv.is_linear:
         raise ValueError("base point must lie on the sphere")
-    _same_dim(ball.center, as_vector(w))
-    return deriv.apply(w)
+    return deriv.apply(_same_dim(ball.center, as_vector(w)))

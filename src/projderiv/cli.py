@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from itertools import chain
@@ -49,7 +50,7 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import norm, parse_number, parse_numbers, _same_dim
+from .vectors import norm, parse_number, parse_numbers, _same_dim, _scaled
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
@@ -235,9 +236,7 @@ def _derivative(job: JobSpec, x):
 def _direction(job: JobSpec, x, key: str):
     """Dense input w or d, if the job has it, checked against x's dimension."""
     v = job.inputs.get(key)
-    if v is not None:
-        _same_dim(x, v)
-    return v
+    return v if v is None else _same_dim(x, v)
 
 
 def _centred(ball: Ball, x):
@@ -298,11 +297,11 @@ def _cmd_gateaux(job: JobSpec, x, lines: list[str]) -> None:
     deriv = _derivative(job, x)
     if job.ball and deriv.is_linear:
         raise JobError("base point must lie on the sphere")
-    _same_dim(x, w)
+    result = deriv.apply(w)  # checks w against x's dimension
     if job.ball:
         side = np.vecdot(w, deriv.scaled_anchor)  # as in apply
         lines.append(f"direction_class = {'outward_or_tangent' if side >= 0 else 'inward'}")
-    lines.append(f"result = {_fmt(deriv.apply(w))}")
+    lines.append(f"result = {_fmt(result)}")
 
 
 def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
@@ -320,6 +319,8 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
         return ok
 
     w = _direction(job, x, "w")
+    if w is not None and not w.any():
+        raise JobError("fd_match direction is zero; supply a nonzero input w")
     deriv = _derivative(job, x)
     if not deriv.is_linear:
         where = "lies on the sphere" if job.ball else "has a zero coordinate"
@@ -345,10 +346,14 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
-    # ‖h·w‖ ≤ δ/2, so x ± h·w keeps x's signs and its side of the sphere; a unit w
-    # (the default, whose computed norm may round above 1) keeps its step unscaled
-    nw = float(norm(w))
-    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0) / max(1.0, nw / 2.0)
+    # the quotient and apply are linear in w: measure along w/2^k, exact, with k = 0 where
+    # ‖w‖ is in [1/2, 2) and ‖w/2^k‖ in [1, 2) elsewhere, so ‖h·w/2^k‖ < δ/2 and x ± h·w/2^k
+    # keeps x's signs and its side of the sphere at every scale of w
+    s, j = _scaled(w)
+    e = math.frexp(float(norm(s)))[1] + int(j)  # 2^(e − 1) ≤ ‖w‖ < 2^e
+    k = 0 if e in (0, 1) else e - 1
+    w = np.ldexp(w, -k)
+    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0)
     if not 0.0 < h < np.inf:
         raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
     with np.errstate(over="ignore"):
@@ -357,9 +362,14 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
         raise JobError(f"fd_match step {_fmt(h)} takes x ± h·w out of the float range")
     ahead, behind = f(ends)
     dw = apply(w)
-    err = float(norm((ahead - behind) / (2.0 * h) - dw))
-    tol = 1e-6 * max(float(norm(dw)), nw) if job.ball else 1e-9
-    ok &= _verdict(lines, "fd_match", err <= tol, err, tol)
+    err = float(norm((ahead - behind) / (2.0 * h) - dw))  # in units of 2^k, as w
+    tol = 1e-6 * max(float(norm(dw)), float(norm(w)))
+    with np.errstate(over="ignore"):  # a length beyond the float range prints as inf
+        shown_err, shown_tol = np.ldexp((err, tol), k).tolist()
+    if job.ball:  # a relative gate, decided in units of 2^k, where neither side underflows
+        ok &= _verdict(lines, "fd_match", err <= tol, shown_err, shown_tol)
+    else:  # an absolute gate
+        ok &= _verdict(lines, "fd_match", shown_err <= 1e-9, shown_err, 1e-9)
     return ok
 
 

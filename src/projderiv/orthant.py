@@ -93,9 +93,7 @@ class ConeDeriv(NamedTuple):
 
     def apply(self, w) -> Vector:
         """The action on one direction (n,) or on each row of a stack (S, n)."""
-        w = as_points(w)
-        _same_dim(self.partition.plus, w)
-        return self._apply(w)
+        return self._apply(_same_dim(self.partition.plus, as_points(w)))
 
     def _apply(self, w: Vector) -> Vector:
         """``apply`` on a finite float64 (n,) or (S, n) array of x's dimension, unchecked."""

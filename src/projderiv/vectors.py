@@ -74,11 +74,12 @@ def _scaled(d: Vector) -> tuple[Vector, Vector]:
     return np.ldexp(d, -k), k[..., 0]
 
 
-def _same_dim(expected: Vector | int, got: Vector) -> None:
-    """Refuse ``got`` unless its last axis has the expected length (an array's last axis, or an int)."""
+def _same_dim(expected: Vector | int, got: Vector) -> Vector:
+    """``got``, refused unless its last axis has the expected length (an array's last axis, or an int)."""
     n = expected if isinstance(expected, int) else expected.shape[-1]
     if n != got.shape[-1]:
         raise ValueError(f"dimension mismatch: {n} vs {got.shape[-1]}")
+    return got
 
 
 class _Value:

@@ -405,6 +405,18 @@ def test_refute_reads_only_the_smallest_step(tmp_path, capsys, job):
     assert reports[0] == reports[1] == reports[2]
 
 
+# cone_rn printed "VERDICT not_frechet fail 0 0" and exited 1
+@pytest.mark.parametrize(
+    "set_spec,x",
+    [({"kind": "ball", "center": [0, 0], "radius": 1}, [1, 0]), ({"kind": "cone_rn"}, [0, 2])],
+    ids=["ball", "cone_rn"],
+)
+def test_refute_refuses_a_zero_direction_on_both_dense_kinds(tmp_path, capsys, set_spec, x):
+    job = {"command": "refute", "set": set_spec, "inputs": {"x": x, "d": [0, 0]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: refutation direction is zero; supply input d\n")
+
+
 def test_refute_orthant_without_zero_needs_direction(tmp_path, capsys):
     job = {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2]}}
     code, _, err = run(tmp_path, capsys, job)
@@ -683,6 +695,49 @@ def test_verify_fd_match_with_a_long_direction(tmp_path, capsys, job):
     code, out, err = run(tmp_path, capsys, job)
     assert code == 0 and err == ""
     assert out.splitlines()[-1].startswith("VERDICT fd_match pass ")
+
+
+# x ± h·w lost h·w to rounding, from 1e-200 on all of it, so the quotient was 0 while
+# apply(w) was not: the second job printed "VERDICT fd_match fail 1.2941176470588234e-200
+# 3.1622776601683793e-206", and the last "fail 1.1758762371021668e-321 0"
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("w", [[1e-8, 3e-8], [1e-200, 3e-200], [1e-300, 5e-301], [1e-320, 0]])
+def test_verify_fd_match_with_a_short_direction(tmp_path, capsys, w):
+    job = ball_job("verify", [0, 0], 1, inputs={"x": [2, 0.5], "w": w})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("VERDICT fd_match pass ")
+
+
+# fd_match measures along w/2^k, so on a ball 2^k·w has 2^k times the error and the
+# tolerance of the w it is measured along, bit for bit
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_fd_match_on_a_ball_scales_with_w(tmp_path, capsys):
+    def fd_match(w):
+        job = ball_job("verify", [0, 0], 1, inputs={"x": [2, 0.5], "w": w})
+        code, out, err = run(tmp_path, capsys, job)
+        assert code == 0 and err == ""
+        return [float(v) for v in out.splitlines()[-1].split()[3:]]
+
+    # ‖w‖ ≈ 0.67: w is measured along itself, 2^k·w along 2·w for every other k
+    err, tol = fd_match([0.6, 1.2])
+    for k in (-900, -300, -2, -1, 1, 2, 300, 1000):
+        scaled = fd_match([math.ldexp(0.3, k), math.ldexp(0.6, k)])
+        assert scaled == [math.ldexp(err, k - 1), math.ldexp(tol, k - 1)], k
+
+
+# a zero w measured nothing: the ball printed "VERDICT fd_match pass 0 0", and cone_rn
+# "VERDICT fd_match pass 0 1.0000000000000001e-09"
+@pytest.mark.parametrize(
+    "set_spec,x",
+    [({"kind": "ball", "center": [0, 0], "radius": 1}, [2, 0]), ({"kind": "cone_rn"}, [2, -1])],
+    ids=["ball", "cone_rn"],
+)
+def test_verify_refuses_a_zero_fd_match_direction(tmp_path, capsys, monkeypatch, set_spec, x):
+    monkeypatch.setattr(projderiv.cli, "strict_residual_scan", None)  # refused before any scan
+    job = {"command": "verify", "set": set_spec, "inputs": {"x": x, "w": [0, 0]}}
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, out, err) == (2, "", "error: fd_match direction is zero; supply a nonzero input w\n")
 
 
 # base + radius·g overflowed: both jobs printed a RuntimeWarning before

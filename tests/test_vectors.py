@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
-from projderiv import as_vector
+from projderiv import (
+    Ball,
+    as_vector,
+    ball_frechet_derivative,
+    ball_gateaux_sphere,
+    classify_ball,
+    cone_frechet_derivative,
+    fd_directional,
+    project_ball,
+    project_cone,
+    qp_projection_oracle,
+    refutation_threshold,
+    refute_linearity,
+)
 import warnings
 
 from projderiv.vectors import as_points, norm, parse_number, parse_numbers
@@ -83,3 +96,28 @@ def test_parse_number_reads_and_refuses_as_parse_numbers_does(value):
         return
     got = parse_number(value, "tail a")
     assert type(got) is float and float(want[0]).hex() == got.hex()
+
+
+UNIT = Ball(center=[0.0, 0.0], radius=1.0)
+# every public dense function that takes a second vector, each given a 2-vector first; both
+# apply methods printed "<got> vs <expected>", the other way round from the rest
+DIMENSION_CHECKS = {
+    "project_ball": lambda v: project_ball(UNIT, v),
+    "classify_ball": lambda v: classify_ball(UNIT, v),
+    "BallDeriv.apply": lambda v: ball_frechet_derivative(UNIT, [3.0, 4.0]).apply(v),
+    "ConeDeriv.apply": lambda v: cone_frechet_derivative([1.0, -2.0]).apply(v),
+    "ball_gateaux_sphere": lambda v: ball_gateaux_sphere(UNIT, [1.0, 0.0], v),
+    "fd_directional": lambda v: fd_directional(project_cone, [1.0, 0.0], v),
+    "refute_linearity": lambda v: refute_linearity(project_cone, [1.0, 0.0], v),
+    "refutation_threshold-ball": lambda v: refutation_threshold(UNIT, [1.0, 0.0], v),
+    "refutation_threshold-orthant": lambda v: refutation_threshold(None, [1.0, 0.0], v),
+    "qp_projection_oracle-ball": lambda v: qp_projection_oracle(UNIT, [1.0, 0.0], v),
+    "qp_projection_oracle-orthant": lambda v: qp_projection_oracle(None, [1.0, 0.0], v),
+}
+
+
+@pytest.mark.parametrize("v", [[1.0], [1.0, 2.0, 3.0]], ids=["shorter", "longer"])
+@pytest.mark.parametrize("name", sorted(DIMENSION_CHECKS))
+def test_every_dense_function_names_the_expected_dimension_first(name, v):
+    with pytest.raises(ValueError, match=f"^dimension mismatch: 2 vs {len(v)}$"):
+        DIMENSION_CHECKS[name](v)
