@@ -1,6 +1,8 @@
 """Metric projections onto closed balls and positive cones, their derivative
 operators where those exist, and numerical certificates where they do not."""
 
+import types
+
 from .vectors import Vector, as_vector
 from .balls import (
     Ball,
@@ -49,43 +51,5 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "BallDeriv",
-    "BallDerivKind",
-    "BallRegion",
-    "BallRegionTag",
-    "ConeDeriv",
-    "ConeDerivKind",
-    "ConeRegion",
-    "GeometricTail",
-    "L2Region",
-    "Refutation",
-    "ResidualScan",
-    "SeqVector",
-    "SignPartition",
-    "Vector",
-    "WitnessReport",
-    "as_vector",
-    "ball_frechet_derivative",
-    "ball_gateaux_sphere",
-    "classify_ball",
-    "classify_l2",
-    "cone_frechet_derivative",
-    "cone_refute_frechet",
-    "distance",
-    "fd_directional",
-    "in_cone",
-    "interior_escape_witness",
-    "l2_gateaux",
-    "l2_nonfrechet_witness",
-    "project_ball",
-    "project_cone",
-    "project_cone_l2",
-    "qp_projection_oracle",
-    "refutation_threshold",
-    "refute_linearity",
-    "sign_partition",
-    "sphere_tolerance",
-    "strict_residual_scan",
-]
+# every public name bound above, submodules (and ``types``) aside
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, types.ModuleType))

@@ -93,9 +93,10 @@ def _project_ball(ball: Ball, x: Vector) -> Vector:
     if count == 0:
         return x
     far = dist * 2.0**-1022 > ball.radius
-    if far.any():  # ‖d‖ is inf or r/‖d‖ subnormal: pull back along (x − c)/2^k instead
-        s = _scaled_offset(ball, x, d)[0]
-        d, dist = np.where(far[..., None], s, d), np.where(far, norm(s), dist)
+    if far.any():  # ‖d‖ is inf or r/‖d‖ subnormal: pull back along s = (x − c)/2^k instead,
+        s = _scaled_offset(ball, x, d)[0]  # as the unit s/‖s‖, since r/‖s‖ overflows at r ≈ 1e308
+        d = np.where(far[..., None], s / np.where(far, norm(s), 1.0)[..., None], d)
+        dist = np.where(far, 1.0, dist)
     if count == outside.size:
         return ball.center + (ball.radius / dist)[..., None] * d
     # rows on both sides: only outside rows divide, so a center row raises no warning
@@ -172,9 +173,13 @@ class BallDeriv(NamedTuple):
         if self.kind is BallDerivKind.EXTERIOR:
             radial = (np.vecdot(w, a) / float(np.dot(a, a)))[..., None] * a
             return self.scale * (w - radial)
-        side = np.vecdot(w, a)[..., None]  # inward rows (side < 0) keep w
-        radial = np.maximum(side, 0.0) / (self.scaled_radius * self.scaled_radius) * a
-        return np.where(side >= 0.0, w - radial, w)
+        radial = np.vecdot(w, a)[..., None] / (self.scaled_radius * self.scaled_radius) * a
+        return np.where(self._outward(w)[..., None], w - radial, w)  # inward rows keep w
+
+    def _outward(self, w: Vector) -> Vector:
+        """⟨w, a⟩ ≥ 0 row by row, decided on w/2^j (see _scaled): exact, and with |w/2^j| and
+        |a| below 1 the sum cannot overflow, where ⟨w, a⟩ itself can (to nan) near 1e308."""
+        return np.vecdot(_scaled(w)[0], self.scaled_anchor) >= 0.0
 
 
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
@@ -200,4 +205,4 @@ def ball_gateaux_sphere(ball: Ball, x, w) -> Vector:
     deriv = ball_frechet_derivative(ball, x)  # checks x, and x and the center share a dimension
     if deriv.is_linear:
         raise ValueError("base point must lie on the sphere")
-    return deriv.apply(_same_dim(ball.center, as_vector(w)))
+    return deriv._apply(_same_dim(ball.center, as_vector(w)))

@@ -298,9 +298,8 @@ def _cmd_gateaux(job: JobSpec, x, lines: list[str]) -> None:
     if job.ball and deriv.is_linear:
         raise JobError("base point must lie on the sphere")
     result = deriv.apply(w)  # checks w against x's dimension
-    if job.ball:
-        side = np.vecdot(w, deriv.scaled_anchor)  # as in apply
-        lines.append(f"direction_class = {'outward_or_tangent' if side >= 0 else 'inward'}")
+    if job.ball:  # the side apply branched on
+        lines.append(f"direction_class = {'outward_or_tangent' if deriv._outward(w) else 'inward'}")
     lines.append(f"result = {_fmt(result)}")
 
 

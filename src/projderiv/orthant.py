@@ -126,10 +126,9 @@ def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:
     ramps with slope 1 on the positive side and stays flat on the negative
     side, so the two one-sided derivatives disagree by a unit vector.
     """
-    x = as_vector(x)
-    partition = sign_partition(x)
+    partition = sign_partition(x)  # coerces and checks x
     if not partition.zero.any():
         raise ValueError("refutation needs a zero coordinate in the sign partition")
-    direction = np.zeros(x.size)
+    direction = np.zeros(partition.zero.size)
     direction[np.argmax(partition.zero)] = 1.0
     return refute_linearity(project_cone, x, direction, step)

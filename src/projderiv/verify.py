@@ -49,8 +49,12 @@ def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -
     t = float(step)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("step must be positive and finite")
+    with np.errstate(over="ignore"):
+        moved = x + t * w
+    if not np.isfinite(moved).all():
+        raise ValueError(f"step {t:.17g} takes x + t·w out of the float range")
     fx = np.asarray(f(x), dtype=np.float64)
-    return (np.asarray(f(x + t * w), dtype=np.float64) - fx) / t
+    return (np.asarray(f(moved), dtype=np.float64) - fx) / t
 
 
 class ResidualScan(NamedTuple):

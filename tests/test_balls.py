@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from projderiv import (
     classify_ball,
     fd_directional,
     project_ball,
+    qp_projection_oracle,
     sphere_tolerance,
 )
+from projderiv.verify import CERTIFICATE_GATE
 
 
 def unit(rng, dim):
@@ -102,6 +105,18 @@ def test_point_and_center_too_far_apart_for_the_float_range():
     region = classify_ball(ball, [1e308, 0.0])
     assert (region.tag, region.signed_gap) == (BallRegionTag.EXTERIOR, np.inf)
     rows = [[1e308, 0.0], [3.0, 4.0], [-1e308, 0.5]]
+    assert np.array_equal(project_ball(ball, rows), [project_ball(ball, row) for row in rows])
+
+
+# r/‖s‖ overflowed on the far path, s = (x − c)/2^k with ‖s‖ ≈ 0.58: project printed two
+# RuntimeWarnings and [nan, inf]; the pull-back is now r times the unit vector s/‖s‖
+@pytest.mark.filterwarnings("error")
+def test_far_point_projects_onto_a_ball_of_radius_near_the_float_max():
+    ball, x = Ball(center=[0.0, -1.1e308], radius=1.7e308), [0.0, 1e308]
+    p = project_ball(ball, x)
+    assert np.array_equal(p, [0.0, 5.9999999999999997e307])
+    assert qp_projection_oracle(ball, x, p) <= CERTIFICATE_GATE
+    rows = [x, [0.0, -1.1e308], [3.0, 4.0]]
     assert np.array_equal(project_ball(ball, rows), [project_ball(ball, row) for row in rows])
 
 
@@ -323,6 +338,22 @@ def test_apply_rescales_w_only_where_the_unscaled_product_overflows(kind):
         assert np.array_equal(got, deriv.apply(row))
     for row, got in zip(finite, applied[1:-1]):
         assert np.array_equal(got, unscaled_apply(deriv, np.asarray(row)))
+
+
+# ⟨w, a⟩ overflowed to nan, so apply took the inward branch and returned w itself (with
+# two RuntimeWarnings in the CLI); the side is decided on w/2^j, and this w is outward
+@pytest.mark.filterwarnings("error")
+def test_gateaux_sphere_decides_the_side_of_a_direction_near_the_float_max():
+    ball, x = Ball(center=[0.0] * 16, radius=3.96), [0.99] * 16
+    w = [1.7e308, -1e308] + [1.7e308, -1.7e308] * 7
+    side = sum(Fraction(wi) * Fraction(ai) for wi, ai in zip(w, x))
+    assert side > 0
+    radial = side / Fraction(ball.radius) ** 2
+    exact = [Fraction(wi) - radial * Fraction(ai) for wi, ai in zip(w, x)]
+    got = ball_gateaux_sphere(ball, x, w)
+    for g, e in zip(got.tolist(), exact):
+        assert abs(Fraction(g) - e) <= 2 * Fraction(abs(float(np.spacing(float(e)))))
+    assert np.array_equal(ball_frechet_derivative(ball, x).apply(w), got)
 
 
 def test_gateaux_sphere_direction_classes():

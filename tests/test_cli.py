@@ -214,6 +214,28 @@ def test_gateaux_direction_class_agrees_with_the_result(tmp_path, capsys, w, res
     assert out.splitlines()[-2:] == ["direction_class = inward", f"result = {result}"]
 
 
+# ⟨w, x − c⟩ overflowed to nan: the job printed two RuntimeWarnings, then
+# direction_class = inward and result = w; direction_class and apply share one side
+@pytest.mark.filterwarnings("error")
+def test_gateaux_direction_class_where_w_is_near_the_float_max(tmp_path, capsys):
+    w = [1.7e308, -1e308] + [1.7e308, -1.7e308] * 7
+    job = ball_job("gateaux", [0] * 16, 3.96, inputs={"x": [0.99] * 16, "w": w})
+    code, out, err = run(tmp_path, capsys, job)
+    assert code == 0 and err == ""
+    result = "result = [1.65625e+308, -1.0437499999999999e+308" + (
+        ", 1.65625e+308, -1.7437499999999999e+308" * 7) + "]"
+    assert out.splitlines()[-2:] == ["direction_class = outward_or_tangent", result]
+
+
+# r/‖s‖ overflowed on the far path: project printed two RuntimeWarnings and [nan, inf]
+@pytest.mark.filterwarnings("error")
+def test_project_far_point_onto_a_ball_of_radius_near_the_float_max(tmp_path, capsys):
+    job = ball_job("project", [0, -1.1e308], 1.7e308, inputs={"x": [0, 1e308]})
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result = [0, 5.9999999999999997e+307]"
+
+
 # x − c overflows: derive printed scale = 0 and apply(w) = [nan, nan] after a
 # RuntimeWarning, and refute a RuntimeWarning before its error line
 FAR_APART = {"center": [-1e308, 0], "radius": 1}
@@ -1113,7 +1135,8 @@ FUZZ_JOBS = [
     {"command": "gateaux", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "w": [SLOT, SLOT]}},
     {"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [SLOT, SLOT]},
      "options": {"steps": [SLOT]}},
-    {"command": "refute", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "d": [SLOT, SLOT]}},
+    {"command": "refute", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT], "d": [SLOT, SLOT]},
+     "options": {"steps": [SLOT]}},
     {"command": "verify", "set": FUZZ_BALL, "inputs": {"x": [SLOT, SLOT]},
      "options": {"radii": [SLOT, SLOT], "samples_per_radius": 2}},
     {"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [SLOT, SLOT]},

@@ -24,3 +24,11 @@ def test_star_import_runs():
     namespace = {}
     exec("from projderiv import *", namespace)
     assert set(projderiv.__all__) <= set(namespace)
+
+
+# __all__ is derived from what __init__ binds, so a stray import there (say, from typing
+# import Mapping) would join it: every entry is projderiv's own, bar Vector (numpy's ndarray)
+def test_every_listed_name_is_defined_in_projderiv():
+    for name in projderiv.__all__:
+        if name != "Vector":
+            assert getattr(projderiv, name).__module__.startswith("projderiv."), name
