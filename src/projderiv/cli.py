@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from functools import partial
 from itertools import chain
@@ -50,10 +49,12 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import norm, parse_number, parse_numbers, _same_dim, _scaled
+from .vectors import norm, parse_number, parse_numbers, _same_dim
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
+    default_radii,
+    fd_match,
     qp_projection_oracle,
     refutation_threshold,
     refute_linearity,
@@ -325,11 +326,7 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
         where = "lies on the sphere" if job.ball else "has a zero coordinate"
         raise JobError(f"x {where}, where no derivative exists; use refute")
     delta = deriv.smooth_radius  # > 0: x is off the sphere and has no zero
-    radii = job.options.get("radii", tuple(min(1e-2, delta / 4.0) * 10.0**-k for k in range(4)))
-    if 0.0 in radii:  # only a default radius can be 0, where δ/4·10^-k underflows
-        raise JobError(
-            f"default scan radii round to 0 at smooth radius {_fmt(delta)}; supply option radii"
-        )
+    radii = job.options.get("radii") or default_radii(delta)
     samples = job.options.get("samples_per_radius", 64)
     f, apply = _clamp, deriv._apply
     if job.ball:  # P_{c+B}(x) = c + P_B(x − c): scan and difference at x − c, on B centred at 0
@@ -345,38 +342,15 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     if w is None:
         w = np.random.default_rng(seed).standard_normal(x.size)
         w /= float(norm(w))
-    # the quotient and apply are linear in w: measure along w/2^k, exact, with k = 0 where
-    # ‖w‖ is in [1/2, 2) and ‖w/2^k‖ in [1, 2) elsewhere, so ‖h·w/2^k‖ < δ/2 and x ± h·w/2^k
-    # keeps x's signs and its side of the sphere at every scale of w
-    s, j = _scaled(w)
-    e = math.frexp(float(norm(s)))[1] + int(j)  # 2^(e − 1) ≤ ‖w‖ < 2^e
-    k = 0 if e in (0, 1) else e - 1
-    w = np.ldexp(w, -k)
-    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0)
-    if not 0.0 < h < np.inf:
-        raise JobError(f"fd_match step {_fmt(h)} leaves the float range")
-    with np.errstate(over="ignore"):
-        ends = np.stack((x + h * w, x - h * w))
-    if not np.isfinite(ends).all():
-        raise JobError(f"fd_match step {_fmt(h)} takes x ± h·w out of the float range")
-    ahead, behind = f(ends)
-    dw = apply(w)
-    err = float(norm((ahead - behind) / (2.0 * h) - dw))  # in units of 2^k, as w
-    tol = 1e-6 * max(float(norm(dw)), float(norm(w)))
-    with np.errstate(over="ignore"):  # a length beyond the float range prints as inf
-        shown_err, shown_tol = np.ldexp((err, tol), k).tolist()
-    if job.ball:  # a relative gate, decided in units of 2^k, where neither side underflows
-        ok &= _verdict(lines, "fd_match", err <= tol, shown_err, shown_tol)
-    else:  # an absolute gate
-        ok &= _verdict(lines, "fd_match", shown_err <= 1e-9, shown_err, 1e-9)
-    return ok
+    return ok & _verdict(lines, "fd_match", *fd_match(f, apply, x, w, delta, job.ball is not None))
 
 
 def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
     step = min(job.options.get("steps", (FD_STEP,)))  # only the smallest step is used
     d = _direction(job, x, "d")
-    if job.ball and d is None:
-        d = _centred(job.ball, x)
+    if job.ball:  # the unchecked kernel below needs x of the center's dimension
+        _same_dim(job.ball.center, x)
+        d = _centred(job.ball, x) if d is None else d
     cone_axis = d is None  # cone_rn's default probe, along its first zero coordinate
     if cone_axis:
         try:
@@ -386,7 +360,8 @@ def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
     else:
         if not d.any():
             raise JobError("refutation direction is zero; supply input d")
-        cert = refute_linearity(_projection(job), x, d, step)
+        f = partial(_project_ball, job.ball) if job.ball else _clamp  # on the loader's checked x
+        cert = refute_linearity(f, x, d, step)
     lines.append(f"direction = {fmt_vec(cert.direction)}")
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")

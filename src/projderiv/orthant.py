@@ -131,4 +131,4 @@ def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:
         raise ValueError("refutation needs a zero coordinate in the sign partition")
     direction = np.zeros(partition.zero.size)
     direction[np.argmax(partition.zero)] = 1.0
-    return refute_linearity(project_cone, x, direction, step)
+    return refute_linearity(_clamp, x, direction, step)  # x + t·d is checked there

@@ -2,7 +2,8 @@
 
 Three independent instruments:
 
-* forward-difference directional derivatives at one step (:func:`fd_directional`),
+* finite differences: forward quotients along one direction or a stack of them
+  (:func:`fd_directional`), and the central-difference check :func:`fd_match`,
 * residual scans over shrinking neighborhoods that certify strict-Fréchet
   behavior by residual decay (:func:`strict_residual_scan`),
 * an optimality certificate for a claimed nearest point
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .vectors import Vector, as_vector, norm, _same_dim, _scaled
+from .vectors import Vector, as_points, as_vector, norm, _same_dim, _scaled
 
 if TYPE_CHECKING:
     from .balls import Ball
@@ -43,18 +44,63 @@ CERTIFICATE_GATE = 64.0 * _EPS
 
 
 def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -> Vector:
-    """One-sided difference quotient (f(x + t w) - f(x)) / t at step t."""
-    x, w = as_vector(x), as_vector(w)
+    """One-sided difference quotient (f(x + t·w) − f(x)) / t at step t, along w (n,) or each
+    row of a stack (S, n).  f is called once, on x stacked over the moved points, so it must
+    map each row of a stack as it would alone, as the residual scan's f does."""
+    x, w = as_vector(x), as_points(w)
     _same_dim(x, w)
     t = float(step)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("step must be positive and finite")
+    moved = _moved(x, t, w, f"step {t:.17g} takes x + t·w out of the float range")
+    values = np.asarray(f(np.vstack((x, moved))), dtype=np.float64)
+    return ((values[1:] - values[0]) / t).reshape(w.shape)
+
+
+def fd_match(f, apply, x: Vector, w: Vector, delta: float, relative: bool) -> tuple[bool, float, float]:
+    """Central difference of f at x along w against ``apply(w)``: (pass, error, tolerance) as
+    printed.  f is C¹ on the ball of radius δ around x and maps a (2, n) stack row by row; x
+    and w are finite, w nonzero.  The gate: 1e-6·max(‖apply(w)‖, ‖w‖) if ``relative``, else 1e-9."""
+    # the quotient and apply are linear in w: measure along w/2^k, exact, with k = 0 where
+    # ‖w‖ is in [1/2, 2) and ‖w/2^k‖ in [1, 2) elsewhere, so ‖h·w/2^k‖ < δ/2 and x ± h·w/2^k
+    # keeps x's signs and its side of the sphere at every scale of w
+    s, j = _scaled(w)
+    e = math.frexp(float(norm(s)))[1] + int(j)  # 2^(e − 1) ≤ ‖w‖ < 2^e
+    k = 0 if e in (0, 1) else e - 1
+    w = np.ldexp(w, -k)
+    h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0)
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"fd_match step {h:.17g} leaves the float range")
+    refusal = f"fd_match step {h:.17g} takes x ± h·w out of the float range"
+    ahead, behind = f(_moved(x, h, np.stack((w, -w)), refusal))
+    dw = apply(w)
+    err = float(norm((ahead - behind) / (2.0 * h) - dw))  # in units of 2^k, as w
+    tol = 1e-6 * max(float(norm(dw)), float(norm(w)))
+    with np.errstate(over="ignore"):  # a length beyond the float range shows as inf
+        shown_err, shown_tol = np.ldexp((err, tol), k).tolist()
+    if relative:  # decided in units of 2^k, where neither side underflows
+        return err <= tol, shown_err, shown_tol
+    return shown_err <= 1e-9, shown_err, 1e-9
+
+
+def _moved(x: Vector, t: float, w: Vector, refusal: str) -> Vector:
+    """x + t·w, refused with ValueError(refusal), and no warning, where it leaves the float range."""
     with np.errstate(over="ignore"):
         moved = x + t * w
     if not np.isfinite(moved).all():
-        raise ValueError(f"step {t:.17g} takes x + t·w out of the float range")
-    fx = np.asarray(f(x), dtype=np.float64)
-    return (np.asarray(f(moved), dtype=np.float64) - fx) / t
+        raise ValueError(refusal)
+    return moved
+
+
+def default_radii(delta: float) -> tuple[float, ...]:
+    """Four scan radii falling by tenths from min(1e-2, δ/4), for a map that is C¹ on the ball
+    of radius δ; refused where δ is so small that a radius rounds to 0."""
+    radii = tuple(min(1e-2, delta / 4.0) * 10.0**-k for k in range(4))
+    if 0.0 in radii:
+        raise ValueError(
+            f"default scan radii round to 0 at smooth radius {delta:.17g}; supply option radii"
+        )
+    return radii
 
 
 class ResidualScan(NamedTuple):
@@ -82,7 +128,7 @@ def strict_residual_scan(
     f: Callable[[Vector], Vector],
     deriv: Callable[[Vector], Vector],
     base,
-    radii: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
+    radii: Sequence[float] = default_radii(math.inf),
     samples_per_radius: int = 64,
     seed: int = 0,
 ) -> ResidualScan:
@@ -169,14 +215,14 @@ class Refutation(NamedTuple):
 
 
 def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP) -> Refutation:
-    """Probe f at x from both sides of d with forward differences.
+    """Probe f at x from both sides of d with forward differences, in one call of f.
 
     Any linear derivative candidate makes the gap zero; a gap certifies that
     no Fréchet derivative exists.
     """
     d = as_vector(d)
-    forward = fd_directional(f, x, d, step)
-    backward = -fd_directional(f, x, -d, step)
+    limits = fd_directional(f, x, np.stack((d, -d)), step)
+    forward, backward = limits[0], -limits[1]
     gap = float(norm(forward - backward))
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
 

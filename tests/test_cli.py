@@ -667,6 +667,39 @@ def test_a_verify_job_coerces_each_vector_once_per_public_call(tmp_path, capsys,
     assert out.count("VERDICT") == 3
 
 
+# refute coerced the same vectors up to 12 times: refute_linearity's d, then x and ±d in
+# each of its two quotients, and the public projection's points in each of its four calls
+# of f. What is left: cone_refute_frechet's x, refute_linearity's d, the quotient's x and
+# its (d, −d) stack, and the threshold's x and d (no cone partition on a ball)
+@pytest.mark.parametrize(
+    "job,most",
+    [
+        ({"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [0, 1, -1]}}, 6),
+        (ball_job("refute", [1, -2, 0.5], 1.5, inputs={"x": [2.5, -2, 0.5]}), 5),
+        (ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8], "d": [1, 1]}), 5),
+    ],
+    ids=["cone_rn-axis", "ball-sphere", "ball-given-d"],
+)
+def test_a_refute_job_coerces_each_vector_once(tmp_path, capsys, monkeypatch, job, most):
+    calls = count_calls(monkeypatch, "_finite_copy", projderiv.vectors)
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err) == (0, "") and out.count("VERDICT not_frechet pass") == 1
+    assert len(calls) <= most
+
+
+# refute on a ball ran its unchecked kernel on an x of another length than the center:
+# with no d it printed numpy's "operands could not be broadcast together with shapes (3,)
+# (2,)" or, for x = [1], took x − c = [1, 1] and printed "dimension mismatch: 1 vs 2"
+@pytest.mark.parametrize(
+    "inputs,got",
+    [({"x": [1, 0, 0]}, 3), ({"x": [1]}, 1), ({"x": [1, 0, 0], "d": [1, 0, 0]}, 3), ({"x": [1], "d": [1]}, 1)],
+    ids=["longer", "shorter", "longer-with-d", "shorter-with-d"],
+)
+def test_refute_on_a_ball_refuses_an_x_of_the_wrong_length(tmp_path, capsys, inputs, got):
+    code, out, err = run(tmp_path, capsys, ball_job("refute", [0, 0], 1, inputs=inputs))
+    assert (code, out, err) == (2, "", f"error: dimension mismatch: 2 vs {got}\n")
+
+
 # the escape built its result through the checking constructor, which checked its
 # 17,833 indices again after the record's 4
 def test_an_escape_job_checks_only_the_records_own_indices(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from projderiv import (
     refute_linearity,
     strict_residual_scan,
 )
+from projderiv.balls import _project_ball
 from projderiv.vectors import as_vector
 from projderiv.verify import CERTIFICATE_GATE
 
@@ -101,6 +104,124 @@ def test_fd_and_refute_refuse_a_direction_of_the_wrong_length():
         fd_directional(project_cone, [1.0], [1.0, -1.0, 2.0])
     with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 1$"):
         refute_linearity(project_cone, [1.0, 0.0], [1.0])
+
+
+def _bits(a):
+    """The float64 bit patterns of a (so 0.0 and -0.0 differ)."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+# (map, x, stack of directions, step): rows that stay inside the ball, leave it, move
+# along its sphere or end far outside (‖x + t·w − c‖·2^-1022 > r, the pull-back along the
+# scaled offset), and orthant rows that keep or cross x's signs
+STACKED_CASES = {
+    "ball-sphere": (
+        lambda p: project_ball(Ball([1.0, -2.0, 0.5], 1.5), p),
+        [2.5, -2.0, 0.5],
+        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [3e3, -2e3, 1e3], [-0.6, 0.8, 0.0]],
+        1e-5,
+    ),
+    "ball-interior-exterior": (
+        lambda p: project_ball(Ball([0.0, 0.0], 2.0), p),
+        [1.0, 0.5],
+        [[0.1, 0.2], [4.0, 1.0], [-0.3, 0.0], [2.5, 3.0]],
+        0.5,
+    ),
+    "ball-far": (
+        lambda p: project_ball(Ball([0.0, 0.0, 0.0], 1e-300), p),
+        [0.0, 0.0, 0.0],
+        [[1e-296, 0.0, 0.0], [1e13, 0.0, -1e13], [0.0, 3e-296, 0.0], [-2e14, 5e13, 1e12]],
+        1e-5,
+    ),
+    "cone": (
+        project_cone,
+        [0.0, 1.0, -1.0, 2e-5],
+        [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 1.0, -3.0], [0.5, -2e5, 2e5, 1.0], [0.0, 0.0, 0.0, 0.0]],
+        1e-5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_stacked_fd_directional_matches_each_direction_alone_bit_for_bit(case):
+    f, x, stack, t = STACKED_CASES[case]
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return f(p)
+
+    quotients = fd_directional(counted, x, stack, t)
+    assert calls == [(len(stack) + 1, len(x))]  # one call, on x stacked over the moved points
+    assert quotients.shape == np.shape(stack)
+    for row, w in zip(quotients, stack):
+        assert _bits(row) == _bits(fd_directional(f, x, w, t))
+
+
+@pytest.mark.parametrize("case", sorted(STACKED_CASES))
+def test_refute_linearity_calls_f_once_and_keeps_the_one_direction_limits(case):
+    f, x, stack, t = STACKED_CASES[case]
+    d = stack[0]
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return f(p)
+
+    cert = refute_linearity(counted, x, d, t)
+    assert calls == [(3, len(x))]  # x, x + t·d and x − t·d
+    assert _bits(cert.forward_limit) == _bits(fd_directional(f, x, d, t))
+    assert _bits(cert.backward_limit) == _bits(-fd_directional(f, x, -np.asarray(d), t))
+    assert cert.gap == float(np.linalg.norm(cert.forward_limit - cert.backward_limit))
+
+
+def test_default_radii_are_the_scan_default():
+    scan_default = inspect.signature(strict_residual_scan).parameters["radii"].default
+    assert verify.default_radii(math.inf) == scan_default == (1e-2, 1e-3, 1e-4, 1e-5)
+    # below δ = 4e-2 the radii start at δ/4
+    assert verify.default_radii(0.02) == tuple(0.005 * 10.0**-k for k in range(4))
+
+
+def test_default_radii_refuse_a_radius_that_rounds_to_0():
+    want = "default scan radii round to 0 at smooth radius 4.9406564584124654e-324; supply option radii"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        verify.default_radii(5e-324)
+
+
+def _ball_fd_match(x, w, center=(0.0, 0.0, 0.0), radius=2.0):
+    """fd_match on the unchecked ball kernel and derivative, as the CLI's verify calls it."""
+    ball = Ball(center, radius)
+    deriv = ball_frechet_derivative(ball, x)
+    f = partial(_project_ball, ball)
+    return verify.fd_match(f, deriv._apply, as_vector(x), as_vector(w), deriv.smooth_radius, True)
+
+
+@pytest.mark.parametrize("x", [[3.0, 4.0, 0.0], [0.5, -0.25, 1.0]], ids=["exterior", "interior"])
+def test_fd_match_scales_with_w_by_exact_powers_of_two(x):
+    w = np.array([0.6, 1.2, -0.3])
+    ok, err, tol = _ball_fd_match(x, w)
+    assert ok and tol > 0.0
+    for k in (600, -600):
+        assert _ball_fd_match(x, np.ldexp(w, k)) == (ok, math.ldexp(err, k), math.ldexp(tol, k))
+
+
+def test_fd_match_gates_the_orthant_at_an_absolute_1e_9():
+    x, w = as_vector([2.0, -1.0, 0.5]), as_vector([1.0, 1.0, -1.0])
+    ok, err, tol = verify.fd_match(project_cone, cone_frechet_derivative(x)._apply, x, w, 0.5, False)
+    assert ok and err <= 1e-9 and tol == 1e-9
+    # the identity is not the derivative where x_2 < 0: an error of |w_2| = 1
+    ok, err, tol = verify.fd_match(project_cone, lambda v: v, x, w, 0.5, False)
+    assert not ok and err == pytest.approx(1.0) and tol == 1e-9
+
+
+def test_fd_match_refuses_steps_that_leave_the_float_range():
+    x = as_vector([1.7e308, 1.7e308])  # h = δ/4 = 4.25e307, and x + h·w overflows
+    deriv = cone_frechet_derivative(x)
+    want = "fd_match step 4.2499999999999998e+307 takes x ± h·w out of the float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        verify.fd_match(project_cone, deriv._apply, x, as_vector([0.6, 0.8]), 1.7e308, False)
+    with pytest.raises(ValueError, match="^fd_match step inf leaves the float range$"):
+        verify.fd_match(project_cone, deriv._apply, x, as_vector([0.6, 0.8]), math.inf, False)
 
 
 def test_scan_zero_residuals_for_exact_identity():
