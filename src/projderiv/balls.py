@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -85,23 +86,44 @@ def project_ball(ball: Ball, x) -> Vector:
 
 
 def _project_ball(ball: Ball, x: Vector) -> Vector:
-    """``project_ball`` on a finite float64 (n,) or (S, n) array of the ball's dimension, unchecked."""
+    """``project_ball`` on a finite float64 (n,) or (S, n) array of the ball's dimension,
+    unchecked: c + P(x − c) on the rows outside, P the origin ball's ``_pull_back``, and x
+    itself on the rows inside."""
     d = _offset(ball, x)
+    p, mixed = _pull_back(ball.radius, d, partial(_scaled_offset, ball, x))
+    if p is d:  # no row outside
+        return x
+    p = ball.center + p
+    return p if mixed is None else np.where(mixed[:, None], p, x)
+
+
+def _project_origin(radius: float, y: Vector) -> Vector:
+    """``_project_ball`` on the ball of the given radius at the origin, with no y − 0 and no
+    0 + … pass: ``verify``'s kernel at y = x − c, as P_{c+B}(x) = c + P_B(x − c)."""
+    return _pull_back(radius, y)[0]
+
+
+def _pull_back(radius: float, d: Vector, scaled=_scaled) -> tuple[Vector, Vector | None]:
+    """(P(d), mixed) for P the projection onto the ball of the given radius at the origin, row
+    by row: (r/‖d‖)·d outside and d inside (d itself where no row is outside), with ``mixed``
+    the rows outside where only some are, else None.  ``scaled`` maps d to (d/2^k, k) as
+    _scaled does, also on rows where d overflowed to inf (see _scaled_offset); it is called
+    only where a row is far."""
     dist = norm(d)
-    outside = dist > ball.radius
+    outside = dist > radius
     count = np.count_nonzero(outside)
     if count == 0:
-        return x
-    far = dist * 2.0**-1022 > ball.radius
-    if far.any():  # ‖d‖ is inf or r/‖d‖ subnormal: pull back along s = (x − c)/2^k instead,
-        s = _scaled_offset(ball, x, d)[0]  # as the unit s/‖s‖, since r/‖s‖ overflows at r ≈ 1e308
+        return d, None
+    far = dist * 2.0**-1022 > radius
+    if far.any():  # ‖d‖ is inf or r/‖d‖ subnormal: pull back along s = d/2^k instead,
+        s = scaled(d)[0]  # as the unit s/‖s‖, since r/‖s‖ overflows at r ≈ 1e308
         d = np.where(far[..., None], s / np.where(far, norm(s), 1.0)[..., None], d)
         dist = np.where(far, 1.0, dist)
     if count == outside.size:
-        return ball.center + (ball.radius / dist)[..., None] * d
+        return (radius / dist)[..., None] * d, None
     # rows on both sides: only outside rows divide, so a center row raises no warning
-    scale = np.divide(ball.radius, dist, out=np.zeros_like(dist), where=outside)
-    return np.where(outside[:, None], ball.center + scale[:, None] * d, x)
+    scale = np.divide(radius, dist, out=np.ones_like(dist), where=outside)
+    return scale[:, None] * d, outside
 
 
 def _offset(ball: Ball, x: Vector) -> Vector:

@@ -30,6 +30,7 @@ from .balls import (
     project_ball,
     _offset,
     _project_ball,
+    _project_origin,
 )
 from .orthant import (
     ConeDerivKind,
@@ -331,7 +332,7 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     f, apply = _clamp, deriv._apply
     if job.ball:  # P_{c+B}(x) = c + P_B(x − c): scan and difference at x − c, on B centred at 0
         x = _centred(job.ball, x)
-        f = partial(_project_ball, Ball._parsed(np.zeros(x.size), job.ball.radius))
+        f = partial(_project_origin, job.ball.radius)
     # the scan's and the quotient's points are finite and of x's dimension: no check again
     scan = strict_residual_scan(f, apply, x, radii, samples, seed)
     for radius, residual in zip(scan.radii, scan.residuals):

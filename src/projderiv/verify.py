@@ -34,9 +34,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # Forward-difference step of every refutation, and the cap on verify's fd_match step
 FD_STEP = 1e-5
 # The residual scan draws its pairs in chunks of _CHUNK_COORDS coordinates per point (which
-# fixes the random stream, and so every report) and calls f and deriv on _CALL_COORDS at most:
-# a 64 KiB stack stays in L2, and no temporary passes glibc's 128 KiB mmap threshold, past
-# which each goes back to the OS when freed and faults in again (~1,800 per scan at n = 1000)
+# fixes the random stream, and so every report) and works in blocks of _CALL_COORDS
+# coordinates of u points (f takes them over as many of v, deriv their differences): a
+# block stays in L2, and no temporary passes glibc's 128 KiB mmap threshold, past which
+# each goes back to the OS when freed and faults in again (~1,800 per scan at n = 1000)
 _CHUNK_COORDS = 2**16
 _CALL_COORDS = 2**13
 # Gate of the optimality certificate, in units of 2^k just above the job scale
@@ -48,7 +49,11 @@ def fd_directional(f: Callable[[Vector], Vector], x, w, step: float = FD_STEP) -
     row of a stack (S, n).  f is called once, on x stacked over the moved points, so it must
     map each row of a stack as it would alone, as the residual scan's f does."""
     x, w = as_vector(x), as_points(w)
-    _same_dim(x, w)
+    return _quotients(f, x, _same_dim(x, w), step)
+
+
+def _quotients(f: Callable[[Vector], Vector], x: Vector, w: Vector, step: float) -> Vector:
+    """``fd_directional`` on a checked x and a checked w of its dimension, unchecked."""
     t = float(step)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValueError("step must be positive and finite")
@@ -141,12 +146,14 @@ def strict_residual_scan(
     Pairs are drawn in chunks of ``_CHUNK_COORDS`` coordinates per point, as
     unit-ball points ĝ = g/‖g‖·U^(1/n) (exact, and usable at n = 16, where
     cube rejection accepts ~4e-6 of draws); each radius evaluates x + ρ·ĝ.
-    ``f`` and ``deriv`` take and return (S, n) stacks of at most
-    ``_CALL_COORDS`` coordinates (or one row): a group of radii where a chunk
-    of pairs fits (all four default radii for n ≤ 16 and 64 samples), else one
-    radius and max(1, 2^13 // n) pairs (8 at n = 1000).  Each row is computed
-    as it would be alone, so the blocking changes no bit.  A pair that rounds
-    onto one point is skipped.  A radius is refused with ValueError where
+    The pairs are evaluated in blocks: a group of radii where a chunk of pairs
+    fits in ``_CALL_COORDS`` coordinates (all four default radii for n ≤ 16
+    and 64 samples), else one radius and max(1, 2^13 // n) pairs (8 at
+    n = 1000).  ``f`` is called once per block, on a (2S, n) stack of its S u
+    points over its S v points, and ``deriv`` once, on the (S, n) stack of
+    their differences; each returns a stack of the shape it takes and computes
+    each row as it would alone, so the blocking changes no bit.  A pair that
+    rounds onto one point is skipped.  A radius is refused with ValueError where
     max|x_i| + 2ρ leaves the float range (points reach max|x_i| + ρ and their
     differences 2ρ), and where no pair moves the base point in floating point.
     """
@@ -179,14 +186,14 @@ def strict_residual_scan(
         for k, b in itertools.product(range(0, len(radii), group), range(0, pairs, rows)):
             ks, bs = slice(k, k + group), slice(b, b + rows)
             points = rho[ks] * g[:, :, bs]
-            points += base  # (2, radii, rows, n): at most 128 KiB
-            u, v = points[0].reshape(-1, dim), points[1].reshape(-1, dim)
-            diff = u - v
-            num = np.asarray(f(u), dtype=np.float64) - np.asarray(f(v), dtype=np.float64)
-            num = num - np.asarray(deriv(diff), dtype=np.float64)
-            for out, a in zip(sq, (diff, num)):
-                s = np.ldexp(a.reshape(points.shape[1:]), exps[ks])
-                np.vecdot(s, s, out=out[ks, bs])
+            points += base  # (2, radii, rows, n): the u points, then the v points; ≤ 128 KiB
+            fp = np.asarray(f(points.reshape(-1, dim)), dtype=np.float64).reshape(points.shape)
+            s = np.empty_like(points)  # u − v, then f(u) − f(v) − deriv(u − v)
+            np.subtract(*points, out=s[0])
+            np.subtract(*fp, out=s[1])
+            s[1] -= np.asarray(deriv(s[0].reshape(-1, dim)), dtype=np.float64).reshape(s[1].shape)
+            np.ldexp(s, exps[ks], out=s)
+            np.vecdot(s, s, out=sq[:, ks, bs])
         gap, top = np.sqrt(sq)
         moved |= gap.any(axis=-1)
         ratios = np.divide(top, gap, out=np.zeros_like(gap), where=gap > 0.0)
@@ -220,8 +227,9 @@ def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP)
     Any linear derivative candidate makes the gap zero; a gap certifies that
     no Fréchet derivative exists.
     """
-    d = as_vector(d)
-    limits = fd_directional(f, x, np.stack((d, -d)), step)
+    x, d = as_vector(x), as_vector(d)
+    _same_dim(x, d)
+    limits = _quotients(f, x, np.stack((d, -d)), step)
     forward, backward = limits[0], -limits[1]
     gap = float(norm(forward - backward))
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)

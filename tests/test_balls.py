@@ -133,6 +133,18 @@ def test_pull_back_where_radius_over_distance_is_subnormal(radius, expected):
     assert abs(Decimal(expected) - exact) <= Decimal(math.ulp(expected)) / 2  # correctly rounded
 
 
+# the scan's kernel skips the x − 0 and 0 + … passes of a zero center, which change the
+# sign of a zero; project_ball keeps both, and these are the bits it printed before
+@pytest.mark.parametrize(
+    "center,x,expected",
+    [([0.0, 0.0], [2.0, -0.0], [1.0, 0.0]), ([-0.0, 0.0], [-5e-324, 2.0], [-0.0, 1.0])],
+    ids=["positive-zero-center", "negative-zero-center"],
+)
+def test_project_ball_keeps_the_sign_of_a_zero(center, x, expected):
+    got = project_ball(Ball(center=center, radius=1.0), x)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 def test_project_inside_is_identity():
     ball = Ball(center=[1.0, 1.0], radius=2.0)
     assert np.array_equal(project_ball(ball, [1.5, 0.5]), [1.5, 0.5])

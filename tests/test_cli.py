@@ -53,6 +53,17 @@ def test_project_ball(tmp_path, capsys):
     assert lines[3] == "result = [1, 0]"
 
 
+
+@pytest.mark.parametrize(
+    "center,x,result",
+    [([0, 0], [2, -0.0], "[1, 0]"), ([-0.0, 0], [-5e-324, 2], "[-0, 1]")],
+    ids=["positive-zero-center", "negative-zero-center"],
+)
+def test_project_ball_prints_the_sign_of_a_zero_as_before(tmp_path, capsys, center, x, result):
+    code, out, err = run(tmp_path, capsys, ball_job("project", center, 1, inputs={"x": x}))
+    assert (code, err, out.splitlines()[3]) == (0, "", f"result = {result}")
+
+
 def test_project_orthant(tmp_path, capsys):
     job = {"command": "project", "set": {"kind": "cone_rn"}, "inputs": {"x": [3, -2, 0]}}
     code, out, _ = run(tmp_path, capsys, job)
@@ -669,14 +680,15 @@ def test_a_verify_job_coerces_each_vector_once_per_public_call(tmp_path, capsys,
 
 # refute coerced the same vectors up to 12 times: refute_linearity's d, then x and ±d in
 # each of its two quotients, and the public projection's points in each of its four calls
-# of f. What is left: cone_refute_frechet's x, refute_linearity's d, the quotient's x and
-# its (d, −d) stack, and the threshold's x and d (no cone partition on a ball)
+# of f. What is left: cone_refute_frechet's x, refute_linearity's x and d (its (d, −d)
+# stack goes to the quotient unchecked), and the threshold's x and d (no cone partition
+# on a ball)
 @pytest.mark.parametrize(
     "job,most",
     [
-        ({"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [0, 1, -1]}}, 6),
-        (ball_job("refute", [1, -2, 0.5], 1.5, inputs={"x": [2.5, -2, 0.5]}), 5),
-        (ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8], "d": [1, 1]}), 5),
+        ({"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [0, 1, -1]}}, 5),
+        (ball_job("refute", [1, -2, 0.5], 1.5, inputs={"x": [2.5, -2, 0.5]}), 4),
+        (ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8], "d": [1, 1]}), 4),
     ],
     ids=["cone_rn-axis", "ball-sphere", "ball-given-d"],
 )

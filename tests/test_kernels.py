@@ -24,7 +24,7 @@ from projderiv import (
     project_ball,
     project_cone,
 )
-from projderiv.balls import _project_ball
+from projderiv.balls import _project_ball, _project_origin
 from projderiv.orthant import _clamp
 
 
@@ -55,6 +55,9 @@ def ball_cases(draw):
     seed, shape = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(SHAPES))
     n = shape[-1]
     center = draw_stack(seed, (n,), draw(scales), 0)
+    zero = draw(st.sampled_from([None, 0.0, -0.0]))  # verify's origin ball, and its mirror
+    if zero is not None:
+        center = np.full(n, zero)
     radius = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(-1074, 1000)))
     stack = draw_stack(seed + 1, shape, draw(scales), draw(st.integers(0, 40)))
     where = draw(st.sampled_from(["inside", "sphere", "outside", "far"]))
@@ -73,10 +76,13 @@ def ball_cases(draw):
 @example((Ball(center=[-1e308, 0.0], radius=1.0), np.array([[1e308, 0.0], [0.5, 0.0]]), np.array([1e308, 0.0])))
 @example((Ball(center=[0.0, 0.0], radius=5e-324), np.array([[1e-323, 0.0], [0.0, 0.0]]), np.array([1e-323, 0.0])))
 @example((Ball(center=[1.0, -1.0], radius=1.0), np.array([1e300, 1e300]), np.array([2.0, -1.0])))
+@example((Ball(center=[-0.0, 0.0], radius=1.0), np.array([[-5e-324, 2.0], [2.0, -0.0]]), np.array([0.5, 0.0])))
 def test_ball_kernels_return_the_public_bits(case):
     ball, stack, base = case
     with np.errstate(all="ignore"):  # far-apart rows warn alike on both paths
         assert same_bits(_project_ball(ball, stack), project_ball(ball, stack))
+        if not ball.center.any():  # the origin kernel leaves out x − 0 and 0 + …: zeros' signs
+            assert np.array_equal(_project_origin(ball.radius, stack), project_ball(ball, stack))
         deriv = ball_frechet_derivative(ball, base)
         assert same_bits(deriv._apply(stack), deriv.apply(stack))
     assert classify_ball(ball, base).tag.value in {"interior", "exterior", "sphere"}

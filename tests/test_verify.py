@@ -24,7 +24,7 @@ from projderiv import (
     refute_linearity,
     strict_residual_scan,
 )
-from projderiv.balls import _project_ball
+from projderiv.balls import _project_ball, _project_origin
 from projderiv.vectors import as_vector
 from projderiv.verify import CERTIFICATE_GATE
 
@@ -301,6 +301,25 @@ def test_batched_scan_matches_pairwise_reference_bit_for_bit(case, n):
         assert scan.residuals == reference_scan(f, deriv, base, seed=seed)
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 1000])
+@pytest.mark.parametrize("scale,kind", [(0.5, "identity"), (3.0, "exterior")], ids=["interior", "exterior"])
+def test_centred_scan_matches_pairwise_reference_bit_for_bit(scale, kind, n):
+    # what verify scans on a ball: the origin ball's kernel at y = x − c, called on stacks,
+    # against the public projection onto the origin ball, one point at a time
+    rng = np.random.default_rng(n)
+    direction = unit(rng, n)
+    ball = Ball(center=rng.standard_normal(n), radius=1.5)
+    x = ball.center + scale * direction
+    deriv = ball_frechet_derivative(ball, x)
+    assert deriv.kind.value == kind
+    origin = Ball(center=np.zeros(n), radius=ball.radius)
+    public = lambda p: project_ball(origin, p)
+    y = as_vector(x - ball.center)
+    for seed in (0, 5):
+        scan = strict_residual_scan(partial(_project_origin, ball.radius), deriv._apply, y, seed=seed)
+        assert scan.residuals == reference_scan(public, deriv._apply, y, seed=seed)
+
+
 def test_scan_spanning_several_chunks_matches_reference():
     f, deriv, base = _parity_case("ball_exterior", 1000)
     samples = 150
@@ -371,28 +390,40 @@ def test_blocked_scan_matches_pairwise_reference_bit_for_bit(case, n, samples, c
     assert scan.residuals == reference_scan(f, deriv, base, radii, samples, seed=3)
 
 
-def test_scan_calls_f_twice_and_deriv_once_per_chunk():
+def test_scan_calls_f_once_on_u_over_v_and_deriv_once_per_block():
     f, deriv, base = _parity_case("ball_exterior", 16)
     calls = []
 
     def counted(name, g):
         def call(stack):
-            calls.append((name, stack.shape))
+            calls.append((name, stack.copy()))
             return g(stack)
         return call
 
     strict_residual_scan(counted("f", f), counted("deriv", deriv), base, seed=1)
     rows = 4 * 64  # the four default radii times the 64 default pairs, in one chunk
-    assert calls == [("f", (rows, 16)), ("f", (rows, 16)), ("deriv", (rows, 16))]
+    assert [(name, a.shape) for name, a in calls] == [("f", (2 * rows, 16)), ("deriv", (rows, 16))]
+    (_, points), (_, diff) = calls
+    # the scan's own draw at seed 1: the u points of every radius, then the v points
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((64, 2, 16))
+    g *= rng.random((64, 2, 1)) ** (1.0 / 16) / np.sqrt(np.vecdot(g, g))[..., None]
+    drawn = np.array([1e-2, 1e-3, 1e-4, 1e-5])[:, None, None] * g.transpose(1, 0, 2)[:, None]
+    drawn += as_vector(base)
+    assert _bits(points) == _bits(drawn.reshape(-1, 16))
+    assert _bits(diff) == _bits(points[:rows] - points[rows:])
     calls.clear()
     strict_residual_scan(counted("f", f), counted("deriv", deriv), base, samples_per_radius=5000)
-    # chunks of 4096 and 904 pairs, each radius in blocks of 512 pairs: 8 + 2 calls a radius
-    assert len(calls) == 3 * 4 * (8 + 2)
-    assert max(rows * cols for _, (rows, cols) in calls) <= verify._CALL_COORDS
+    # chunks of 4096 and 904 pairs, each radius in blocks of 512 pairs: 8 + 2 blocks a radius
+    assert [name for name, _ in calls] == ["f", "deriv"] * (4 * (8 + 2))
+    assert max(a.size for name, a in calls if name == "f") <= 2 * verify._CALL_COORDS
+    assert max(a.size for name, a in calls if name == "deriv") <= verify._CALL_COORDS
+    for (_, points), (_, diff) in zip(calls[::2], calls[1::2]):
+        assert 2 * len(diff) == len(points)
     calls.clear()
     f, deriv, base = _parity_case("ball_exterior", 1000)
     strict_residual_scan(counted("f", f), counted("deriv", deriv), base)
-    assert max(rows for name, (rows, _) in calls if name == "f") == 8
+    assert {a.shape for name, a in calls if name == "f"} == {(16, 1000)}  # 8 pairs a block
 
 
 def _ball_at_one():
