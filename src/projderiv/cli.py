@@ -12,7 +12,6 @@ Exit code 0: all verdicts pass; 1: some verdict failed; 2: unusable job.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import partial
@@ -424,18 +423,23 @@ def run_job(job: JobSpec) -> tuple[list[str], bool]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="projderiv",
-        description="Run a projection/derivative job file and print a deterministic report.",
-    )
-    parser.add_argument("--job", required=True, help="path to the JSON job file")
+    usage = "usage: projderiv [-h] --job JOB"  # parsed by hand: argparse costs every job ~3 ms
+    args, job, extra = iter(sys.argv[1:] if argv is None else argv), None, []
+    for arg in args:
+        if arg in ("-h", "--help"):
+            print(f"{usage}\n\nRun the JSON job file JOB and print a deterministic report.")
+            return 0
+        if arg == "--job" or arg.startswith("--job="):
+            job = arg[len("--job="):] if "=" in arg else next(args, None)
+        else:
+            extra.append(arg)
+    if job is None or extra:  # a usage error: exit 2, with argparse's message
+        error = "unrecognized arguments: " + " ".join(extra) if job is not None else (
+            "the following arguments are required: --job")
+        print(f"{usage}\nprojderiv: error: {error}", file=sys.stderr)
+        return 2
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code) if e.code else 0
-
-    try:
-        lines, ok = run_job(load_job(args.job))
+        lines, ok = run_job(load_job(job))
     except JobError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -37,7 +37,8 @@ FD_STEP = 1e-5
 # fixes the random stream, and so every report) and works in blocks of _CALL_COORDS
 # coordinates of u points (f takes them over as many of v, deriv their differences): a
 # block stays in L2, and no temporary passes glibc's 128 KiB mmap threshold, past which
-# each goes back to the OS when freed and faults in again (~1,800 per scan at n = 1000)
+# each goes back to the OS when freed and faults in again (~1,800 per scan at n = 1000).
+# f and deriv get read-only C-contiguous views of two buffers that the next block reuses
 _CHUNK_COORDS = 2**16
 _CALL_COORDS = 2**13
 # Gate of the optimality certificate, in units of 2^k just above the job scale
@@ -152,8 +153,10 @@ def strict_residual_scan(
     n = 1000).  ``f`` is called once per block, on a (2S, n) stack of its S u
     points over its S v points, and ``deriv`` once, on the (S, n) stack of
     their differences; each returns a stack of the shape it takes and computes
-    each row as it would alone, so the blocking changes no bit.  A pair that
-    rounds onto one point is skipped.  A radius is refused with ValueError where
+    each row as it would alone, so the blocking changes no bit.  Both stacks are
+    read-only C-contiguous views of two buffers made once per scan and overwritten
+    by the next block, so a map must neither keep nor write its argument.  A pair
+    that rounds onto one point is skipped.  A radius is refused with ValueError where
     max|x_i| + 2ρ leaves the float range (points reach max|x_i| + ρ and their
     differences 2ρ), and where no pair moves the base point in floating point.
     """
@@ -171,6 +174,9 @@ def strict_residual_scan(
     dim = base.size
     chunk = max(1, _CHUNK_COORDS // dim)  # pairs per draw
     rows = max(1, _CALL_COORDS // dim)  # pairs per call
+    first = min(chunk, samples_per_radius)  # the first chunk's blocks are the largest
+    size = 2 * dim * min(max(1, rows // first), len(radii)) * min(rows, first)
+    point_buf, s_buf = np.empty(size), np.empty(size)
     rho = np.array(radii)[:, None, None]
     # scale by 2^-e ≈ 1/radius before squaring: exact, and no overflow at any scale
     exps = -np.frexp(rho)[1]
@@ -185,13 +191,16 @@ def strict_residual_scan(
         sq = np.empty((2, len(radii), pairs))  # ‖u − v‖² and ‖residual‖², scaled by 2^2e
         for k, b in itertools.product(range(0, len(radii), group), range(0, pairs, rows)):
             ks, bs = slice(k, k + group), slice(b, b + rows)
-            points = rho[ks] * g[:, :, bs]
-            points += base  # (2, radii, rows, n): the u points, then the v points; ≤ 128 KiB
-            fp = np.asarray(f(points.reshape(-1, dim)), dtype=np.float64).reshape(points.shape)
-            s = np.empty_like(points)  # u − v, then f(u) − f(v) − deriv(u − v)
-            np.subtract(*points, out=s[0])
+            shape = (2, min(group, len(radii) - k), min(rows, pairs - b), dim)
+            points = np.multiply(rho[ks], g[:, :, bs], out=point_buf[: math.prod(shape)].reshape(shape))
+            points += base  # the u points, then the v points, in a C-order prefix of their buffer
+            points.flags.writeable = False  # so a map that writes its argument fails loudly
+            fp = np.asarray(f(points.reshape(-1, dim)), dtype=np.float64).reshape(shape)
+            s = s_buf[: points.size].reshape(shape)  # u − v, then f(u) − f(v) − deriv(u − v)
+            diff = np.subtract(*points, out=s[0]).reshape(-1, dim)
+            diff.flags.writeable = False
             np.subtract(*fp, out=s[1])
-            s[1] -= np.asarray(deriv(s[0].reshape(-1, dim)), dtype=np.float64).reshape(s[1].shape)
+            s[1] -= np.asarray(deriv(diff), dtype=np.float64).reshape(s[1].shape)
             np.ldexp(s, exps[ks], out=s)
             np.vecdot(s, s, out=sq[:, ks, bs])
         gap, top = np.sqrt(sq)

@@ -426,6 +426,46 @@ def test_scan_calls_f_once_on_u_over_v_and_deriv_once_per_block():
     assert {a.shape for name, a in calls if name == "f"} == {(16, 1000)}  # 8 pairs a block
 
 
+# (n, samples, radii, blocks): one block of every radius and pair; blocks of 8 pairs and
+# a short one of 5; chunks of 21, 21 and 8 pairs in blocks of 2, each 21 ending in one pair
+VIEW_CASES = [(16, 64, 4, 1), (1000, 61, 4, 4 * 8), (3000, 50, 2, 2 * (11 + 11 + 4))]
+
+
+@pytest.mark.parametrize("case", ["ball_exterior", "cone_mixed"])
+@pytest.mark.parametrize("n,samples,count,blocks", VIEW_CASES)
+def test_scan_hands_f_and_deriv_read_only_c_contiguous_stacks(case, n, samples, count, blocks):
+    f, deriv, base = _parity_case(case, n)
+    shapes = []
+
+    def checked(name, g):
+        def call(stack):
+            assert stack.flags.c_contiguous and not stack.flags.writeable
+            shapes.append((name, stack.shape))
+            return g(stack)
+        return call
+
+    radii = tuple(1e-2 * 10.0**-k for k in range(count))
+    strict_residual_scan(checked("f", f), checked("deriv", deriv), base, radii, samples, 3)
+    assert [name for name, _ in shapes] == ["f", "deriv"] * blocks
+    if n == 3000:
+        assert ("f", (2, n)) in shapes and ("deriv", (1, n)) in shapes
+
+
+@pytest.mark.parametrize("writer", ["f", "deriv"])
+def test_scan_refuses_a_map_that_writes_its_argument(writer):
+    f, deriv, base = _parity_case("ball_exterior", 16)
+
+    def writes(g):
+        def call(stack):
+            stack *= 1.0
+            return g(stack)
+        return call
+
+    maps = (writes(f), deriv) if writer == "f" else (f, writes(deriv))
+    with pytest.raises(ValueError, match="read-only"):
+        strict_residual_scan(*maps, base)
+
+
 def _ball_at_one():
     ball = Ball(center=[0.0], radius=0.5)
     return (lambda p: project_ball(ball, p)), ball_frechet_derivative(ball, [1.0]).apply
