@@ -72,12 +72,16 @@ def sphere_tolerance(radius: float) -> float:
 
 def classify_ball(ball: Ball, x) -> BallRegion:
     """Classify x as interior / exterior / on the sphere, with ties to sphere."""
-    x = _same_dim(ball.center, as_vector(x))
-    gap = float(norm(_offset(ball, x))) - ball.radius
-    if abs(gap) <= sphere_tolerance(ball.radius):
-        return BallRegion(tag=BallRegionTag.SPHERE, signed_gap=gap)
-    tag = BallRegionTag.INTERIOR if gap < 0.0 else BallRegionTag.EXTERIOR
-    return BallRegion(tag=tag, signed_gap=gap)
+    return _region(ball, _same_dim(ball.center, as_vector(x)))[0]
+
+
+def _region(ball: Ball, x: Vector) -> tuple[BallRegion, Vector]:
+    """(``classify_ball``, x − c) on a checked x of the ball's dimension."""
+    d = _offset(ball, x)
+    gap = float(norm(d)) - ball.radius
+    tag = (BallRegionTag.SPHERE if abs(gap) <= sphere_tolerance(ball.radius)
+           else BallRegionTag.INTERIOR if gap < 0.0 else BallRegionTag.EXTERIOR)
+    return BallRegion(tag=tag, signed_gap=gap), d
 
 
 def project_ball(ball: Ball, x) -> Vector:
@@ -207,12 +211,11 @@ class BallDeriv(NamedTuple):
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     """Derivative operator of the ball projection at x, by region; ``NOT_FRECHET`` at sphere
     points rather than an error, as non-differentiability there is a result, not a failure."""
-    region = classify_ball(ball, x)  # checks x, so it is read below with no second copy
-    x = np.asarray(x, dtype=np.float64)
+    x = _same_dim(ball.center, as_vector(x))
+    region, anchor = _region(ball, x)
     gap = abs(region.signed_gap)  # the smooth radius off the sphere
     if region.tag is BallRegionTag.INTERIOR:
         return BallDeriv(BallDerivKind.IDENTITY, x.size, smooth_radius=gap)
-    anchor = _offset(ball, x)
     scaled, k = _scaled_offset(ball, x, anchor)
     anchor.flags.writeable = scaled.flags.writeable = False
     if region.tag is BallRegionTag.SPHERE:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import sys
 from functools import partial
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -76,7 +75,8 @@ def fmt_vec(v) -> str:
 def fmt_seq(s: SeqVector) -> str:
     """s as one line of JSON, in the record form that ``SeqVector.from_record`` reads."""
     ov = s.overrides
-    pairs = ("[%d, %.17g], " * len(ov))[:-2] % tuple(chain.from_iterable(ov.items()))
+    # the indices in one pass, which leaves a %.17g for each value, and the values in a second
+    pairs = ("[%d, %%.17g], " * len(ov))[:-2] % tuple(ov) % tuple(ov.values())
     t = s.tail
     if t is None:
         tail_text = '{"kind": "zero"}'

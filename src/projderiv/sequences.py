@@ -34,12 +34,13 @@ import numpy as np
 from .vectors import Vector, parse_number, parse_numbers, _INT_LIMIT, _Value
 
 _MIN_NORMAL = sys.float_info.min
+_ESCAPE_MAX = 2**22  # most coordinates an escape lists from its tail's start through its dip
 
 
 class GeometricTail(_Value):
     """Tail coordinates coeff * ratio**(i - start) for i >= start, equal and hashed by its fields."""
 
-    __slots__ = ("coeff", "ratio", "start")
+    __slots__ = ("coeff", "ratio", "start", "_run")
 
     def __init__(self, coeff: float, ratio: float, start: int):
         coeff, ratio = float(coeff), float(ratio)
@@ -52,13 +53,26 @@ class GeometricTail(_Value):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ratio", ratio)
         object.__setattr__(self, "start", start)
+        object.__setattr__(self, "_run", [])  # its coordinates from the start, as far as evaluated
 
     def values(self, indices) -> list[float]:
-        """The tail's coordinates at the given indices, in one pass.
+        """The tail's coordinates at the given indices, in one pass: read from the run where
+        it covers them, and a step-1 range from the start extends the run to its end."""
+        s, run = self.start, self._run
+        if type(indices) is range and indices.start == s and indices.step == 1:
+            if len(indices) > len(run):  # replaced, not extended: a reader sees a whole run
+                object.__setattr__(self, "_run", run := run + self._eval(range(s + len(run), indices.stop)))
+            return run[: len(indices)]
+        if not run:
+            return self._eval(indices)
+        end = s + len(run)
+        rest = iter(self._eval([i for i in indices if not s <= i < end]))
+        return [run[i - s] if s <= i < end else next(rest) for i in indices]
 
-        They are 0.0 before the start and where the exponent lies beyond the
-        float range (``ratio ** n`` would raise).  Where the power is
-        subnormal or 0, a large coefficient is applied halfway down, so a tail
+    def _eval(self, indices) -> list[float]:
+        """The coordinates at the given indices, computed.  They are 0.0 before the start and
+        where the exponent lies beyond the float range (``ratio ** n`` would raise).  Where
+        the power is subnormal or 0, a large coefficient is applied halfway down, so a tail
         such as 1e300·0.5^(i−1) is not cut at i ≈ 1075."""
         a, r, s = self.coeff, self.ratio, self.start
         return [
@@ -118,7 +132,7 @@ class SeqVector(_Value):
         if tail is not None and tail.coeff == 0.0:
             tail = None
         cut = bisect_left(indices, tail.start) if tail else len(indices)
-        differ = values[:cut]  # the tail is 0 before its start: keep the nonzero values there
+        differ = values[:cut] if tail else values  # the tail is 0 before its start: keep nonzeros
         if tail:
             differ += map(operator.ne, values[cut:], tail.values(indices[cut:]))
         object.__setattr__(self, "overrides", dict(compress(zip(indices, values), differ)))
@@ -255,20 +269,13 @@ def classify_l2(x: SeqVector) -> L2Region:
     Sign tests are exact, as in the finite-dimensional classifier: the
     representation stores every coordinate's sign exactly.
     """
-    t = x.tail
-    if t is None:
+    t, ov = x.tail, x.overrides
+    if t is None or 0.0 in ov.values() or any(i not in ov for i in range(1, t.start)):
         return L2Region.OTHER
-    if any(i not in x.overrides for i in range(1, t.start)):
-        return L2Region.OTHER
-    if any(v == 0.0 for v in x.overrides.values()):
-        return L2Region.OTHER
-    signs = {v > 0.0 for v in x.overrides.values()}
-    signs.add(t.coeff > 0.0)
-    if signs == {True}:
-        return L2Region.ALL_POSITIVE
-    if signs == {False}:
-        return L2Region.ALL_NEGATIVE
-    return L2Region.MIXED_SIGNS
+    signs = {t.coeff > 0.0, *(v > 0.0 for v in ov.values())}
+    if len(signs) == 2:
+        return L2Region.MIXED_SIGNS
+    return L2Region.ALL_POSITIVE if True in signs else L2Region.ALL_NEGATIVE
 
 
 def in_cone(x: SeqVector) -> bool:
@@ -380,16 +387,21 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
     dip = eps / 2.0
     if dip == 0.0:  # a zero dip would leave x inside the cone
         raise ValueError("eps/2 underflows to 0 in floating point; pick a larger eps")
-    m = x.support_max
-    if x.tail is not None:
-        m = max(m, x.tail.start - 1)
-        head, r = abs(x.tail.value_at(m + 1)), x.tail.ratio
-        if head > 0.0:  # log(norm_from(m + 1) / dip), summed so nothing leaves the float range
-            excess = math.log(head) - 0.5 * math.log((1.0 - r) * (1.0 + r)) - math.log(dip)
-            m += max(0, math.ceil(excess / -math.log(r)) - 1)  # one short; the walk settles m
-        while x.tail.norm_from(m + 1) >= dip:
+    m, t = x.support_max, x.tail
+    if t is not None:  # a member's tail has coeff > 0, its value at the start
+        r = t.ratio  # log(norm_from(start) / dip), summed so nothing leaves the float range
+        excess = math.log(t.coeff) - 0.5 * math.log((1.0 - r) * (1.0 + r)) - math.log(dip)
+        m = max(m, t.start - 1, t.start - 2 + math.ceil(excess / -math.log(r)))  # one short
+        if m + 2 - t.start > _ESCAPE_MAX:  # refused before any list is built
+            raise ValueError(f"the escape's cut m >= {m} lists more than {_ESCAPE_MAX} coordinates "
+                             "from the tail's start; pick a larger eps")
+        t.values(range(t.start, m + 3))  # the run through the walk's usual two steps, read below
+        while t.norm_from(m + 1) >= dip:  # the walk settles m
             m += 1
-    start = x.tail.start if x.tail else m + 1  # before it, only overrides are nonzero
-    idx = [*(i for i in x.overrides if i < start), *range(start, m + 1)]  # sorted: m ≥ each
-    # the canonical form keeps the nonzero coordinates, as the tail is cut
-    return SeqVector.__new__(SeqVector)._canonical([*idx, m + 1], [*x.coords(idx), -dip], None)
+    start = t.start if t else m + 1  # before it, only overrides are nonzero
+    ov, run = x.overrides, t.values(range(start, m + 1)) if t else []
+    before = {i: v for i, v in ov.items() if i < start}
+    for i in ov.keys() - before:  # x's other overrides laid over its tail's run: m ≥ each
+        run[i - start] = ov[i]
+    values = [*before.values(), *run, -dip]  # the canonical form keeps the nonzeros, as the tail is cut
+    return SeqVector.__new__(SeqVector)._canonical([*before, *range(start, m + 2)], values, None)

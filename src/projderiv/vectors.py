@@ -83,7 +83,7 @@ def _same_dim(expected: Vector | int, got: Vector) -> Vector:
 
 
 class _Value:
-    """Immutable value whose fields are its ``__slots__``, set once by a checking constructor.
+    """Immutable value whose fields are its public ``__slots__``, set once by a checking constructor.
 
     Equal and hashed by its fields, shown as ``Name(field=value, ...)``, and copied and
     pickled through the constructor, so a copy is checked as the original was."""
@@ -91,7 +91,8 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls):  # _key: the field values, a tuple as every subclass has 2 or more
-        cls._key = property(attrgetter(*cls.__slots__))
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._key = property(attrgetter(*cls._fields))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -106,7 +107,7 @@ class _Value:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({shown})"
 
     def __reduce__(self):

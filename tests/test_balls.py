@@ -17,6 +17,7 @@ from projderiv import (
     qp_projection_oracle,
     sphere_tolerance,
 )
+from projderiv import balls
 from projderiv.verify import CERTIFICATE_GATE
 
 
@@ -477,3 +478,14 @@ def test_one_point_error_messages():
         deriv.apply([np.inf, 0.0])
     with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         project_ball(ball, np.ones((4, 3)))
+
+
+# the derivative formed x − c twice: once in classify_ball, then again for its anchor
+@pytest.mark.parametrize("x", [[3.0, 4.0], [0.6, 0.8], [0.3, 0.4]], ids=["exterior", "sphere", "interior"])
+def test_the_derivative_forms_x_minus_the_center_once(monkeypatch, x):
+    calls, offset = [], balls._offset
+    monkeypatch.setattr(balls, "_offset", lambda ball, v: calls.append(v) or offset(ball, v))
+    deriv = ball_frechet_derivative(Ball([0.0, 0.0], 1.0), x)
+    assert len(calls) == 1
+    if deriv.anchor is not None:
+        assert deriv.anchor.tolist() == x and not deriv.anchor.flags.writeable

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +14,7 @@ import numpy as np
 
 import projderiv
 from projderiv import GeometricTail, SeqVector, sequences
-from projderiv.cli import fmt_seq, fmt_vec, main
+from projderiv.cli import fmt_seq, fmt_vec, load_job, main, run_job
 
 VERDICT_RE = re.compile(r"^VERDICT [a-z_]+ (pass|fail) \S+ \S+$")
 
@@ -641,18 +642,19 @@ def count_calls(monkeypatch, name: str, module=projderiv, calls=None) -> list:
 
 
 # verify classified a ball point twice (the derivative, then the scan radii), and
-# classify split a cone_rn point by sign twice (the region, then the masks)
+# classify split a cone_rn point by sign twice (the region, then the masks).  A ball
+# point is classified by balls._region, which classify_ball and the derivative both call
 @pytest.mark.parametrize(
     "job,name",
     [
-        (ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}), "classify_ball"),
-        (ball_job("verify", [0, 0], 1, inputs={"x": [0.5, 0]}), "classify_ball"),
+        (ball_job("verify", [0, 0], 1, inputs={"x": [2, 0]}), "_region"),
+        (ball_job("verify", [0, 0], 1, inputs={"x": [0.5, 0]}), "_region"),
         ({"command": "classify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2, 0]}}, "sign_partition"),
     ],
     ids=["ball-verify-exterior", "ball-verify-interior", "cone_rn-classify"],
 )
 def test_a_job_classifies_its_point_once(tmp_path, capsys, monkeypatch, job, name):
-    calls = count_calls(monkeypatch, name)
+    calls = count_calls(monkeypatch, name, projderiv.balls if name == "_region" else projderiv)
     code, _, err = run(tmp_path, capsys, job)
     assert (code, err, len(calls)) == (0, "", 1)
 
@@ -1314,6 +1316,61 @@ def test_fmt_seq_matches_the_per_number_formatter(overrides, tail):
     s = SeqVector(overrides, tail)
     assert fmt_seq(s) == fmt_seq_per_number(s)
     assert SeqVector.from_record(json.loads(fmt_seq(s))) == s
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def fmt_seq_interleaved(s) -> str:
+    """fmt_seq as one % pass over the interleaved (index, value) pairs."""
+    ov = s.overrides
+    pairs = ("[%d, %.17g], " * len(ov))[:-2] % tuple(itertools.chain.from_iterable(ov.items()))
+    return '{"overrides": [%s], "tail": %s}' % (pairs, fmt_seq(s).partition('"tail": ')[2][:-1])
+
+
+EXTREMES = {1: -0.0, 2: 5e-324, 3: 1.7976931348623157e308, 4: -1.7976931348623157e308, 2**70: 0.5}
+
+
+# fmt_seq prints the indices in one % pass, which leaves a %.17g for each value, and the
+# values in a second pass.  -0.0 survives the canonical form only over a nonzero tail
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.dictionaries(st.integers(1, 2**70), floats | st.sampled_from(list(EXTREMES.values())), max_size=30),
+    st.none() | st.builds(GeometricTail, floats, ratios, st.integers(1, 2**70)),
+)
+@example({}, None)
+@example(EXTREMES, GeometricTail(1.0, 0.5, 1))
+@example({**EXTREMES, 2**70: -0.0}, GeometricTail(-2.0, 0.5, 2**70 - 3))
+@example(ESCAPE_SIZED, None)
+def test_fmt_seq_in_two_passes_prints_the_interleaved_format(overrides, tail):
+    s = SeqVector(overrides, tail)
+    assert fmt_seq(s) == fmt_seq_interleaved(s)
+    assert SeqVector.from_record(json.loads(fmt_seq(s))) == s
+
+
+def test_fmt_seq_prints_extreme_values_and_huge_indices():
+    s = SeqVector(EXTREMES, GeometricTail(1.0, 0.5, 1))
+    assert fmt_seq(s) == (
+        '{"overrides": [[1, -0], [2, 4.9406564584124654e-324], [3, 1.7976931348623157e+308], '
+        '[4, -1.7976931348623157e+308], [1180591620717411303424, 0.5]], '
+        '"tail": {"kind": "geometric", "a": 1, "rho": 0.5, "start": 1}}'
+    )
+    s = SeqVector({2**70: -0.0}, GeometricTail(-2.0, 0.5, 2**70 - 3))
+    assert fmt_seq(s) == (
+        '{"overrides": [[1180591620717411303424, -0]], '
+        '"tail": {"kind": "geometric", "a": -2, "rho": 0.5, "start": 1180591620717411303421}}'
+    )
+    assert fmt_seq(SeqVector({}, None)) == '{"overrides": [], "tail": {"kind": "zero"}}'
+
+
+def test_a_tail_loaded_again_from_the_same_job_file_starts_with_an_empty_run():
+    path = str(GOLDEN / "witness_escape_slow_tail.json")
+    first = load_job(path)
+    lines, ok = run_job(first)
+    assert ok and len(first.inputs["x"].tail._run) > 1000  # the escape filled it
+    again = load_job(path)
+    assert again.inputs["x"] == first.inputs["x"] and again.inputs["x"].tail._run == []
+    assert run_job(again) == (lines, ok)
 
 
 # --------------------------------------------------------- report contract

@@ -394,6 +394,41 @@ def test_bulk_tail_values_equal_the_one_by_one_values_bit_for_bit(coeff, ratio, 
     assert bits(map(tail.value_at, idx)) == want
 
 
+# A tail keeps the coordinates it has evaluated from its start in a private run, filled
+# by a values request for a step-1 range from the start.  What the run serves must be
+# what a fresh tail computes, at every index: before the start, in the run and past it.
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    coeff=tail_coeffs | st.sampled_from([1e-300, -1e-300]),
+    ratio=tail_ratios,
+    start=st.integers(1, 40) | st.integers(1, 2**70),
+    lengths=st.lists(st.integers(0, 1200), min_size=1, max_size=3),
+    offsets=st.lists(tail_offsets | st.integers(-50, 1300)),
+)
+# 1e300·0.5^(i−1): the power goes subnormal at i ≈ 1023 and to 0 at i ≈ 1075
+@example(1e300, 0.5, 1, [1080], [-3, 1020, 1070, 1074, 1075, 1076, 1079, 1080, 1081, 2000])
+@example(1e-300, 0.5, 2**70, [5, 40, 3], [-1, 0, 4, 5, 39, 40, 41, 10**400])
+def test_a_filled_run_serves_a_fresh_tails_values_bit_for_bit(coeff, ratio, start, lengths, offsets):
+    used = geo(coeff, ratio, start)
+    for length in lengths:  # fills the run, extends it, or serves a prefix of it
+        want = geo(coeff, ratio, start).values(list(range(start, start + length)))
+        assert bits(used.values(range(start, start + length))) == bits(want)
+    assert len(used._run) == max(lengths)
+    idx = [max(1, start + k) for k in offsets]
+    want = bits(value_at_one_by_one(used, i) for i in idx)
+    assert bits(used.values(idx)) == want == bits(geo(coeff, ratio, start).values(idx))
+    assert bits(map(used.value_at, idx)) == want
+
+
+def test_only_a_range_from_the_start_fills_the_run():
+    tail = geo(1.0, 0.5, 3)
+    for request in ([3, 4, 5], (3, 4), range(4, 9), range(3, 9, 2), range(1, 9)):
+        tail.values(request)
+    assert tail._run == []
+    assert tail.values(range(3, 6)) == [1.0, 0.5, 0.25] == tail._run
+    assert tail.values(range(3, 4)) == [1.0] and tail._run == [1.0, 0.5, 0.25]
+
+
 @st.composite
 def overrides_over_a_tail(draw):
     tail = geo(draw(tail_coeffs), draw(tail_ratios), draw(st.integers(1, 40)))
@@ -845,6 +880,53 @@ def test_escape_witness_validation():
         interior_escape_witness(SeqVector({}, None), 0.0)
     with pytest.raises(ValueError):
         interior_escape_witness(SeqVector({}, None), np.inf)
+
+
+def test_escape_and_its_distance_evaluate_each_tail_coordinate_once(monkeypatch):
+    # the escape spells out x's tail up to its cut m, and distance(x, escape) reads the
+    # same coordinates: they come from the tail's run, not from ratio ** n a second time
+    evaluated = []
+    compute = GeometricTail._eval
+
+    def counted(tail, indices):
+        indices = list(indices)
+        evaluated.extend(indices)
+        return compute(tail, indices)
+
+    monkeypatch.setattr(GeometricTail, "_eval", counted)
+    for x in (SeqVector({}, geo(1.0, 0.999, 1)), SeqVector({1: 0.125, 4: 0.5, 9: 0.0}, geo(0.2, 0.999, 3))):
+        evaluated.clear()
+        escape = interior_escape_witness(x, 1e-6)
+        assert distance(x, escape) < 1e-6
+        m = escape.support_max - 1
+        assert m > 16000
+        assert len(evaluated) == len(set(evaluated))  # each coordinate once
+        assert set(range(x.tail.start, m + 2)) <= set(evaluated) <= set(range(1, m + 3))
+
+
+# x_1 = 0.5 over the tail 0.999999999999^(i − 2) from i = 2: at eps = 1e-3 the cut m is
+# about 2e13, and the index list alone would need about 1.7e14 bytes
+TOO_LONG = SeqVector({1: 0.5}, geo(1.0, 0.999999999999, 2))
+
+
+def test_an_escape_too_long_to_list_is_refused_before_any_list_is_built():
+    message = r"^the escape's cut m >= (\d+) lists more than 4194304 coordinates from the tail's start; pick a larger eps$"
+    with pytest.raises(ValueError, match=message) as refused:
+        interior_escape_witness(TOO_LONG, 1e-3)
+    assert int(re.match(message, str(refused.value))[1]) > 2 * 10**13
+    assert TOO_LONG.tail._run == []
+    # so is an override more than 2^22 coordinates past the tail's start
+    far = SeqVector({2**22 + 1: 1.0}, geo(1.0, 0.5, 1))
+    with pytest.raises(ValueError, match=r"^the escape's cut m >= 4194305 lists more than 4194304 "):
+        interior_escape_witness(far, 0.1)
+    assert far.tail._run == []
+
+
+def test_the_escape_bound_counts_coordinates_from_the_tails_start():
+    x = SeqVector({2: 1.0}, geo(1.0, 0.999, 2**70))  # about 17,600 coordinates from 2^70 on
+    y = interior_escape_witness(x, 1e-6)
+    assert min(y.overrides) == 2 and sorted(y.overrides)[1] == 2**70
+    assert 17000 < y.support_max - 2**70 < 2**22 and distance(x, y) < 1e-6
 
 
 # ------------------------------------------------------------ canonical form

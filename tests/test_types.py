@@ -42,7 +42,11 @@ INSTANCES = {
     "GeometricTail": (TAIL, "coeff"),
     "SeqVector": (SEQ, "overrides"),
 }
-VALUES = {"Ball": BALL, "GeometricTail": TAIL, "SeqVector": SEQ}
+# a tail whose private run holds its coordinates from the start: the run is not part of
+# its value, so it compares, hashes, shows, copies and pickles as the fresh TAIL does
+RUN_TAIL = GeometricTail(2.0, 0.5, 3)
+RUN_TAIL.values(range(3, 40))
+VALUES = {"Ball": BALL, "GeometricTail": TAIL, "GeometricTail-run": RUN_TAIL, "SeqVector": SEQ}
 
 
 @pytest.mark.parametrize("name", INSTANCES)
@@ -63,6 +67,20 @@ def test_values_copy_and_pickle_to_equal_values(name, clone):
     value = VALUES[name]
     twin = clone(value)
     assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_a_tail_with_a_filled_run_behaves_as_a_fresh_tail(clone):
+    assert len(RUN_TAIL._run) == 37 and TAIL._run == []
+    assert RUN_TAIL == TAIL and hash(RUN_TAIL) == hash(TAIL) and repr(RUN_TAIL) == repr(TAIL)
+    twin = clone(RUN_TAIL)
+    assert twin == TAIL and hash(twin) == hash(TAIL) and repr(twin) == repr(TAIL)
+    assert twin._run == [] and len(RUN_TAIL._run) == 37  # a copy starts empty, as a fresh tail
+    assert SeqVector({1: -1.5, 7: 0.25}, RUN_TAIL) == SEQ
+    with pytest.raises(AttributeError):
+        RUN_TAIL._run = []
 
 
 def test_ball_compares_and_hashes_by_value():
