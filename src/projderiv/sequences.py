@@ -25,7 +25,7 @@ import operator
 import sys
 from bisect import bisect_left
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress, islice, repeat, takewhile
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -56,18 +56,14 @@ class GeometricTail(_Value):
         object.__setattr__(self, "_run", [])  # its coordinates from the start, as far as evaluated
 
     def values(self, indices) -> list[float]:
-        """The tail's coordinates at the given indices, in one pass: read from the run where
-        it covers them, and a step-1 range from the start extends the run to its end."""
+        """The tail's coordinates at the given indices, in one pass: a step-1 range from the
+        start is read from the run, which it extends to its end."""
         s, run = self.start, self._run
         if type(indices) is range and indices.start == s and indices.step == 1:
             if len(indices) > len(run):  # replaced, not extended: a reader sees a whole run
                 object.__setattr__(self, "_run", run := run + self._eval(range(s + len(run), indices.stop)))
             return run[: len(indices)]
-        if not run:
-            return self._eval(indices)
-        end = s + len(run)
-        rest = iter(self._eval([i for i in indices if not s <= i < end]))
-        return [run[i - s] if s <= i < end else next(rest) for i in indices]
+        return self._eval(indices)
 
     def _eval(self, indices) -> list[float]:
         """The coordinates at the given indices, computed.  They are 0.0 before the start and
@@ -83,7 +79,8 @@ class GeometricTail(_Value):
         ]
 
     def value_at(self, i: int) -> float:
-        return self.values((i,))[0]
+        run, k = self._run, i - self.start  # read from the run where it covers i
+        return run[k] if 0 <= k < len(run) else self._eval((i,))[0]
 
     def norm_from(self, i: int) -> float:
         """ℓ² norm of the tail's coordinates at indices i and beyond."""
@@ -150,6 +147,19 @@ class SeqVector(_Value):
     def coords(self, indices) -> list[float]:
         """Coordinates at the given (positive integer) indices, in one pass."""
         return list(map(self.overrides.get, indices, _tail_values(self.tail, indices)))
+
+    def _stretch(self, r: range, spans: dict) -> tuple:
+        """Coordinates over the step-1 range r, and the overridden indices outside r, in one pass."""
+        ov = self.overrides
+        below, above = [*takewhile(r.start.__gt__, ov)], [*takewhile(r.stop.__le__, reversed(ov))]
+        a, b = len(below), len(ov) - len(above)
+        if b - a == len(r):  # the overrides fill r, as an escape's do
+            return islice(ov.values(), a, b), below + above
+        q = spans.get(self.tail, r[:0])  # else they lie over the tail, read over its span as one range
+        run = [*repeat(0.0, q.start - r.start), *_tail_values(self.tail, q), *repeat(0.0, r.stop - q.stop)]
+        for i, v in islice(ov.items(), a, b):
+            run[i - r.start] = v
+        return run, below + above
 
     def with_coord(self, i: int, value: float) -> "SeqVector":
         """Copy with coordinate i set to the given value."""
@@ -225,25 +235,30 @@ def _trusted(ov: dict[int, float], tail: GeometricTail | None) -> SeqVector:
 
 
 def distance(x: SeqVector, y: SeqVector) -> float:
-    """‖x - y‖, within about an ulp at any scale.
+    """‖x - y‖, within 2 ulps at any scale.
 
     The coordinate differences are summed up to the last index where x or y
-    is not pure tail (over the overrides alone when the tails are equal);
-    beyond it the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)², with
-    h the tail values just past that index, as an exact rational.  Every term
-    is scaled by one power of two and rounded once before one exactly
-    rounded sum."""
+    is not pure tail: over the overrides alone when the tails are equal, else
+    over the tails' stretch, read on each side as one aligned list.  Beyond it
+    the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)², with h the tail
+    values just past that index, as an exact rational.  Every term is scaled
+    by one power of two and rounded once before one exactly rounded sum."""
     from fractions import Fraction  # here, not at load: it and decimal add ~2 ms to every start-up
 
-    signed = ((1.0, x.tail), (-1.0, y.tail))
-    tails = [] if x.tail == y.tail else [(s, t) for s, t in signed if t is not None]
+    tails = [] if x.tail == y.tail else [(s, t) for s, t in ((1.0, x.tail), (-1.0, y.tail)) if t is not None]
     last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
-    idx = {*x.overrides, *y.overrides}
+    spans = {}
     for _, t in tails:  # from |coeff|·ρ^n < 2^-1080 on, its coordinates are 0.0 in float64
         reach = math.ceil((math.log(abs(t.coeff)) + 1080 * math.log(2.0)) / -math.log(t.ratio))
-        idx.update(range(t.start, min(last, t.start + reach) + 1))
-    idx = list(idx)
-    diffs = list(filter(None, map(operator.sub, x.coords(idx), y.coords(idx))))  # 0s add nothing
+        spans[t] = range(t.start, min(last, t.start + reach) + 1)
+    q, pad = spans.values(), len(x.overrides) + len(y.overrides)  # the stretch: the spans' hull,
+    stretch = q and range(max(1, min(r.start for r in q) - pad), max(r.stop for r in q))  # pad lower
+    if q and len(stretch) <= sum(map(len, q)) + pad:  # no longer than the spans and overrides together
+        (xs, idx), (ys, yo) = x._stretch(stretch, spans), y._stretch(stretch, spans)
+        diffs, idx = [u - v for u, v in zip(xs, ys) if u != v], [*{*idx, *yo}]
+    else:  # equal tails, or tails far apart: coordinate by coordinate
+        diffs, idx = [], [*{*x.overrides, *y.overrides, *chain.from_iterable(q)}]
+    diffs += filter(None, map(operator.sub, x.coords(idx), y.coords(idx)))  # 0s add nothing
     heads = [(s * t.value_at(last + 1), t.ratio) for s, t in tails]
     top = max(map(abs, [*diffs, *(h for h, _ in heads)]), default=0.0)
     if top == 0.0:
@@ -399,9 +414,6 @@ def interior_escape_witness(x: SeqVector, eps: float) -> SeqVector:
         while t.norm_from(m + 1) >= dip:  # the walk settles m
             m += 1
     start = t.start if t else m + 1  # before it, only overrides are nonzero
-    ov, run = x.overrides, t.values(range(start, m + 1)) if t else []
-    before = {i: v for i, v in ov.items() if i < start}
-    for i in ov.keys() - before:  # x's other overrides laid over its tail's run: m ≥ each
-        run[i - start] = ov[i]
-    values = [*before.values(), *run, -dip]  # the canonical form keeps the nonzeros, as the tail is cut
+    run, before = x._stretch(range(start, m + 1), {t: range(start, m + 1)})  # m ≥ every override
+    values = [*map(x.overrides.__getitem__, before), *run, -dip]  # the canonical form keeps the nonzeros
     return SeqVector.__new__(SeqVector)._canonical([*before, *range(start, m + 2)], values, None)

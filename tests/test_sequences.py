@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import operator
 import random
 import re
 import sys
@@ -241,6 +243,173 @@ def test_distance_cross_tails_against_dense():
     y = SeqVector({1: 4.0}, geo(0.5, 0.25, 2))
     dx, dy = x.truncate(200), y.truncate(200)
     assert distance(x, y) == pytest.approx(float(np.linalg.norm(dx - dy)), rel=1e-12)
+
+
+def reference_distance(x, y):
+    """distance as it was before it read the tails' stretch as one aligned run, verbatim:
+    every coordinate difference goes through ``coords``, index by index."""
+    from fractions import Fraction  # here, not at load: it and decimal add ~2 ms to every start-up
+
+    signed = ((1.0, x.tail), (-1.0, y.tail))
+    tails = [] if x.tail == y.tail else [(s, t) for s, t in signed if t is not None]
+    last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
+    idx = {*x.overrides, *y.overrides}
+    for _, t in tails:  # from |coeff|·ρ^n < 2^-1080 on, its coordinates are 0.0 in float64
+        reach = math.ceil((math.log(abs(t.coeff)) + 1080 * math.log(2.0)) / -math.log(t.ratio))
+        idx.update(range(t.start, min(last, t.start + reach) + 1))
+    idx = list(idx)
+    diffs = list(filter(None, map(operator.sub, x.coords(idx), y.coords(idx))))  # 0s add nothing
+    heads = [(s * t.value_at(last + 1), t.ratio) for s, t in tails]
+    top = max(map(abs, [*diffs, *(h for h, _ in heads)]), default=0.0)
+    if top == 0.0:
+        return 0.0
+    k = math.frexp(top)[1]
+    scaled = [math.ldexp(d, -k) for d in diffs]
+    heads = [(Fraction(math.ldexp(h, -k)), Fraction(r)) for h, r in heads]
+    # Σ_k (Σ_t a_t p_t^k)² = Σ_{s,t} a_s a_t / (1 - p_s p_t), exact and so never negative
+    beyond = sum(a * b / (1 - p * q) for a, p in heads for b, q in heads)
+    return math.ldexp(math.sqrt(math.fsum([*(d * d for d in scaled), float(beyond)])), k)
+
+
+distance_ratios = st.sampled_from([0.3, 0.5, 0.9, 0.999])
+distance_coeffs = st.one_of(
+    st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0 - 2.0**-52]),
+    st.floats(-2.0, 2.0, allow_nan=False),  # 0.0 among them: a zero tail
+)
+override_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def overrides_near(draw, tail):
+    """Overrides around the tail's start (or index 1): before it, across it, inside its
+    stretch and out past where a ρ = 0.3 or 0.5 tail is 0.0 in float64; some exactly zero,
+    some equal to the tail value under them (which the canonical form drops)."""
+    base, overrides = tail.start if tail else 1, {}
+    for k in draw(st.lists(st.integers(-45, 60) | st.integers(60, 3000), max_size=8)):
+        i = max(1, base + k)
+        under = draw(st.booleans()) and tail is not None
+        overrides[i] = value_at_one_by_one(tail, i) if under else draw(override_values)
+    return overrides
+
+
+@st.composite
+def distance_pairs(draw):
+    """x and y with equal tails, a tail against the zero tail, two different tails (starts
+    1–40), or two tails whose reaches leave a gap between them."""
+    kind = draw(st.sampled_from(["equal", "zero", "two", "gap"]))
+    tx = geo(draw(distance_coeffs), draw(distance_ratios), draw(st.integers(1, 40)))
+    if kind == "equal":
+        ty = tx
+    elif kind == "zero":
+        ty = None
+    elif kind == "two":
+        ty = geo(draw(distance_coeffs), draw(distance_ratios), draw(st.integers(1, 40)))
+    else:  # ±1e-300·0.3^n is 0.0 in float64 from n = 48 on: the second tail starts past that
+        tx = geo(draw(st.sampled_from([1e-300, -1e-300])), 0.3, tx.start)
+        ty = geo(draw(distance_coeffs), draw(distance_ratios), tx.start + draw(st.integers(50, 2000)))
+    ox = draw(overrides_near(tx))
+    oy = {**ox, **draw(overrides_near(ty))} if draw(st.booleans()) else draw(overrides_near(ty))
+    pair = [SeqVector(ox, tx), SeqVector(oy, ty)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+def outcome(f, x, y):
+    """f(x, y) as its bits, or the error it raises: a distance past the float range overflows."""
+    try:
+        return f(x, y).hex()
+    except OverflowError as error:
+        return repr(error)
+
+
+ESCAPE_MEMBER = SeqVector({i: 0.1 for i in range(1, 151)}, geo(1.2, 0.999, 149))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(pair=distance_pairs())
+@example([ESCAPE_MEMBER, interior_escape_witness(ESCAPE_MEMBER, 1e-6)])  # the longest benchmark job's shape
+@example([SeqVector({}, geo(1.0, 0.5, 1)), SeqVector({10**9: 1.0}, None)])  # an override far past the tail
+@example([SeqVector({3: 0.0, 60: -0.0}, geo(1.0, 0.5, 2)), SeqVector({1: 2.0, 3: -0.0}, geo(1.0, 0.5, 10**6))])
+@example([SeqVector({1: 1.0}, geo(1.0, 0.3, 1)), SeqVector({1: 1.0, 5: 2.0}, geo(1.0, 0.3, 1))])  # one flipped
+def test_distance_is_bit_identical_to_the_coordinate_by_coordinate_reference(pair):
+    x, y = pair
+    want = outcome(reference_distance, x, y)
+    assert outcome(distance, x, y) == want
+    assert outcome(distance, x, y) == want  # again, with the tails' runs filled
+    assert outcome(distance, y, x) == want
+
+
+def exact_distance_sq(x, y):
+    """‖x − y‖² as a Fraction of what distance sums: each coordinate as represented up to the
+    last index where x or y is not pure tail, and past it each tail's exact geometric series
+    from its value at the next index."""
+    tails = [] if x.tail == y.tail else [(s, t) for s, t in ((1, x.tail), (-1, y.tail)) if t is not None]
+    last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
+    idx = list(range(1, last + 1) if tails else {*x.overrides, *y.overrides})
+    near = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.coords(idx), y.coords(idx)))
+    heads = [(s * Fraction(t.value_at(last + 1)), Fraction(t.ratio)) for s, t in tails]
+    return near + sum(a * b / (1 - p * q) for a, p in heads for b, q in heads)
+
+
+def ulps_off(got, exact_sq):
+    """How far got is from the square root of exact_sq, in ulps of got (exact to ~40 digits)."""
+    with decimal.localcontext() as context:
+        context.prec = 60
+        root = (decimal.Decimal(exact_sq.numerator) / decimal.Decimal(exact_sq.denominator)).sqrt()
+        return float(abs(decimal.Decimal(got) - root) / decimal.Decimal(math.ulp(got)))
+
+
+DISTANCE_ULPS = 2.0  # README states this bound, in ulps of the result
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pair=distance_pairs())
+@example([ESCAPE_MEMBER, interior_escape_witness(ESCAPE_MEMBER, 1e-6)])
+def test_distance_is_within_two_ulps_of_the_exact_value(pair):
+    x, y = pair
+    exact, top = exact_distance_sq(x, y), sys.float_info.max
+    try:
+        got = distance(x, y)
+    except OverflowError:  # only where the float range ends within the bound of the exact value
+        assert exact > Fraction(top - DISTANCE_ULPS * math.ulp(top)) ** 2
+    else:
+        assert got == 0.0 if exact == 0 else ulps_off(got, exact) <= DISTANCE_ULPS
+
+
+def test_distance_between_two_tails_evaluates_each_tail_coordinate_at_most_once(monkeypatch):
+    # the two tails' stretch is read as one range per tail, the heads past it from the runs
+    # or once each, and the overrides outside the stretch once
+    evaluated = []
+    compute = GeometricTail._eval
+
+    def counted(tail, indices):
+        indices = list(indices)
+        evaluated.extend((id(tail), i) for i in indices)
+        return compute(tail, indices)
+
+    monkeypatch.setattr(GeometricTail, "_eval", counted)
+    pairs = [  # ρ = 0.999 against ρ = 0.9 with an override far out, as in the slow shape
+        lambda: (SeqVector({}, geo(1.0, 0.999, 1)), SeqVector({4000: 1.0}, geo(0.5, 0.9, 1))),
+        lambda: (SeqVector({2: 1.0, 7: 0.0}, geo(1.0, 0.999, 3)), SeqVector({1: 2.0, 4000: 1.0}, geo(-0.5, 0.9, 5))),
+        lambda: (SeqVector({1: 3.0}, geo(1.0, 0.9, 30)), SeqVector({4000: 1.0}, None)),  # below the stretch
+        lambda: (SeqVector({}, geo(1e-300, 0.3, 1)), SeqVector({3000: 1.0}, geo(1.0, 0.5, 100))),  # far apart
+    ]
+    for make in pairs:
+        want, (x, y) = reference_distance(*make()), make()
+        for _ in range(2):  # with fresh tails, then with their runs filled
+            evaluated.clear()
+            assert distance(x, y) == want
+            assert evaluated and len(evaluated) == len(set(evaluated))
+
+
+def test_distance_between_tails_far_apart_lists_nothing_across_the_gap():
+    # the tails' spans, [1, ~1080] and [10^12, 10^12 + 5], are 10^12 apart: reading their hull
+    # as one list would need 10^12 entries, so they go coordinate by coordinate
+    x = SeqVector({2: 1.0}, geo(1.0, 0.5, 1))
+    y = SeqVector({10**12 + 5: 1.0}, geo(1.0, 0.5, 10**12))
+    assert distance(x, y).hex() == reference_distance(x, y).hex()
 
 
 # ------------------------------------------------------------- serialization
