@@ -211,7 +211,11 @@ class BallDeriv(NamedTuple):
 def ball_frechet_derivative(ball: Ball, x) -> BallDeriv:
     """Derivative operator of the ball projection at x, by region; ``NOT_FRECHET`` at sphere
     points rather than an error, as non-differentiability there is a result, not a failure."""
-    x = _same_dim(ball.center, as_vector(x))
+    return _ball_deriv(ball, _same_dim(ball.center, as_vector(x)))
+
+
+def _ball_deriv(ball: Ball, x: Vector) -> BallDeriv:
+    """``ball_frechet_derivative`` on a checked x of the ball's dimension, unchecked."""
     region, anchor = _region(ball, x)
     gap = abs(region.signed_gap)  # the smooth radius off the sphere
     if region.tag is BallRegionTag.INTERIOR:

@@ -23,20 +23,20 @@ import numpy as np
 from .balls import (
     Ball,
     BallDerivKind,
-    ball_frechet_derivative,
     classify_ball,
     project_ball,
+    _ball_deriv,
     _offset,
     _project_ball,
     _project_origin,
 )
 from .orthant import (
     ConeDerivKind,
-    cone_frechet_derivative,
     cone_refute_frechet,
     project_cone,
     sign_partition,
     _clamp,
+    _cone_deriv,
 )
 from .sequences import (
     SeqVector,
@@ -48,16 +48,16 @@ from .sequences import (
     l2_nonfrechet_witness,
     project_cone_l2,
 )
-from .vectors import norm, parse_number, parse_numbers, _same_dim
+from .vectors import parse_number, parse_numbers, _same_dim
 from .verify import (
     CERTIFICATE_GATE,
     FD_STEP,
     default_radii,
     fd_match,
     qp_projection_oracle,
-    refutation_threshold,
     refute_linearity,
     strict_residual_scan,
+    _threshold,
 )
 
 SET_KINDS = ("ball", "cone_rn", "cone_l2")
@@ -230,8 +230,8 @@ def _projection(job: JobSpec):
 
 
 def _derivative(job: JobSpec, x):
-    """The derivative object of the projection at x, on a ball or cone_rn."""
-    return ball_frechet_derivative(job.ball, x) if job.ball else cone_frechet_derivative(x)
+    """The derivative object of the projection at the loader's checked x, on a ball or cone_rn."""
+    return _ball_deriv(job.ball, _same_dim(job.ball.center, x)) if job.ball else _cone_deriv(x)
 
 
 def _direction(job: JobSpec, x, key: str):
@@ -240,9 +240,9 @@ def _direction(job: JobSpec, x, key: str):
     return v if v is None else _same_dim(x, v)
 
 
-def _centred(ball: Ball, x):
-    """x − center, refused where it leaves the float range."""
-    d = _offset(ball, x)
+def _centred(ball: Ball, x, anchor=None):
+    """x − center (or the derivative's ``anchor``), refused where it leaves the float range."""
+    d = _offset(ball, x) if anchor is None else anchor
     if not np.isfinite(d).all():
         raise JobError("x and the center are too far apart: x − center leaves the float range")
     return d
@@ -305,7 +305,6 @@ def _cmd_gateaux(job: JobSpec, x, lines: list[str]) -> None:
 
 
 def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
-    seed = job.options.get("seed", 0)
     f = _projection(job)
     p = f(x)
     ok = True
@@ -327,10 +326,10 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
         raise JobError(f"x {where}, where no derivative exists; use refute")
     delta = deriv.smooth_radius  # > 0: x is off the sphere and has no zero
     radii = job.options.get("radii") or default_radii(delta)
-    samples = job.options.get("samples_per_radius", 64)
+    samples, seed = job.options.get("samples_per_radius", 64), job.options.get("seed", 0)
     f, apply = _clamp, deriv._apply
     if job.ball:  # P_{c+B}(x) = c + P_B(x − c): scan and difference at x − c, on B centred at 0
-        x = _centred(job.ball, x)
+        x = _centred(job.ball, x, deriv.anchor)
         f = partial(_project_origin, job.ball.radius)
     # the scan's and the quotient's points are finite and of x's dimension: no check again
     scan = strict_residual_scan(f, apply, x, radii, samples, seed)
@@ -339,9 +338,7 @@ def _cmd_verify(job: JobSpec, x, lines: list[str]) -> bool:
     ratio = scan.worst_decay_ratio()
     ok &= _verdict(lines, "strict_decay", ratio <= 0.5, ratio, 0.5)
 
-    if w is None:
-        w = np.random.default_rng(seed).standard_normal(x.size)
-        w /= float(norm(w))
+    w = scan.direction if w is None else w  # default: the unit direction of the scan's first draw
     return ok & _verdict(lines, "fd_match", *fd_match(f, apply, x, w, delta, job.ball is not None))
 
 
@@ -366,7 +363,7 @@ def _cmd_refute(job: JobSpec, x, lines: list[str]) -> bool:
     if cone_axis:
         lines.append(f"forward_limit = {fmt_vec(cert.forward_limit)}")
         lines.append(f"backward_limit = {fmt_vec(cert.backward_limit)}")
-    threshold = refutation_threshold(job.ball, x, cert.direction, step)
+    threshold = _threshold(job.ball, x, cert.direction, step)  # x and the direction are checked
     lines.append(f"gap = {_fmt(cert.gap)}")
     return _verdict(lines, "not_frechet", cert.gap > threshold, cert.gap, threshold)
 

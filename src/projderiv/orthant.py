@@ -40,7 +40,11 @@ class SignPartition(NamedTuple):
 
 
 def sign_partition(x) -> SignPartition:
-    x = as_vector(x)
+    return _partition(as_vector(x))
+
+
+def _partition(x: Vector) -> SignPartition:
+    """``sign_partition`` on a checked x, unchecked."""
     plus, minus = x > 0.0, x < 0.0
     zero = ~(plus | minus)
     plus.flags.writeable = minus.flags.writeable = zero.flags.writeable = False
@@ -109,14 +113,19 @@ class ConeDeriv(NamedTuple):
 
 def cone_frechet_derivative(x) -> ConeDeriv:
     """Derivative structure at x, chosen by sign pattern."""
-    partition = sign_partition(x)  # coerces and checks x, so |x_i| below need no second copy
+    return _cone_deriv(as_vector(x))
+
+
+def _cone_deriv(x: Vector) -> ConeDeriv:
+    """``cone_frechet_derivative`` on a checked x, unchecked."""
+    partition = _partition(x)
     kind = {
         ConeRegion.INTERIOR: ConeDerivKind.IDENTITY,
         ConeRegion.NEGATIVE_INTERIOR: ConeDerivKind.ZERO,
         ConeRegion.MIXED_SIGNS: ConeDerivKind.MASK,
         ConeRegion.HAS_ZERO: ConeDerivKind.DIRECTIONAL_ONLY,
     }[partition.region]
-    return ConeDeriv(kind, partition, float(np.min(np.abs(np.asarray(x, dtype=np.float64)))))
+    return ConeDeriv(kind, partition, float(np.min(np.abs(x))))
 
 
 def cone_refute_frechet(x, step: float = FD_STEP) -> Refutation:

@@ -25,7 +25,7 @@ import operator
 import sys
 from bisect import bisect_left
 from enum import Enum
-from itertools import chain, compress, islice, repeat, takewhile
+from itertools import chain, compress, islice, product, repeat, takewhile
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -243,8 +243,6 @@ def distance(x: SeqVector, y: SeqVector) -> float:
     the tails' difference adds Σ_k (h_x ρ_x^k − h_y ρ_y^k)², with h the tail
     values just past that index, as an exact rational.  Every term is scaled
     by one power of two and rounded once before one exactly rounded sum."""
-    from fractions import Fraction  # here, not at load: it and decimal add ~2 ms to every start-up
-
     tails = [] if x.tail == y.tail else [(s, t) for s, t in ((1.0, x.tail), (-1.0, y.tail)) if t is not None]
     last = max([x.support_max, y.support_max, *(t.start - 1 for _, t in tails)])
     spans = {}
@@ -265,10 +263,14 @@ def distance(x: SeqVector, y: SeqVector) -> float:
         return 0.0
     k = math.frexp(top)[1]
     scaled = [math.ldexp(d, -k) for d in diffs]
-    heads = [(Fraction(math.ldexp(h, -k)), Fraction(r)) for h, r in heads]
-    # Σ_k (Σ_t a_t p_t^k)² = Σ_{s,t} a_s a_t / (1 - p_s p_t), exact and so never negative
-    beyond = sum(a * b / (1 - p * q) for a, p in heads for b, q in heads)
-    return math.ldexp(math.sqrt(math.fsum([*(d * d for d in scaled), float(beyond)])), k)
+    heads = [(*math.ldexp(h, -k).as_integer_ratio(), *r.as_integer_ratio()) for h, r in heads]
+    # Σ_k (Σ_t a_t p_t^k)² = Σ_{s,t} a_s a_t / (1 - p_s p_t), exact and so never negative: one
+    # int ratio, whose true division rounds once as float(Fraction) would, with no fractions import
+    num, den = 0, 1
+    for (a, da, p, dp), (b, db, q, dq) in product(heads, repeat=2):
+        n, d = a * b * dp * dq, da * db * (dp * dq - p * q)
+        num, den = num * d + n * den, den * d
+    return math.ldexp(math.sqrt(math.fsum([*(d * d for d in scaled), num / den])), k)
 
 
 class L2Region(Enum):

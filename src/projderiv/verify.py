@@ -73,7 +73,8 @@ def fd_match(f, apply, x: Vector, w: Vector, delta: float, relative: bool) -> tu
     s, j = _scaled(w)
     e = math.frexp(float(norm(s)))[1] + int(j)  # 2^(e − 1) ≤ ‖w‖ < 2^e
     k = 0 if e in (0, 1) else e - 1
-    w = np.ldexp(w, -k)
+    if k:  # k = 0 for every unit w, so for every default one: no scaling to do
+        w = np.ldexp(w, -k)
     h = min(FD_STEP * (1.0 + float(norm(x))), delta / 4.0)
     if not 0.0 < h < np.inf:
         raise ValueError(f"fd_match step {h:.17g} leaves the float range")
@@ -82,11 +83,11 @@ def fd_match(f, apply, x: Vector, w: Vector, delta: float, relative: bool) -> tu
     dw = apply(w)
     err = float(norm((ahead - behind) / (2.0 * h) - dw))  # in units of 2^k, as w
     tol = 1e-6 * max(float(norm(dw)), float(norm(w)))
-    with np.errstate(over="ignore"):  # a length beyond the float range shows as inf
-        shown_err, shown_tol = np.ldexp((err, tol), k).tolist()
-    if relative:  # decided in units of 2^k, where neither side underflows
-        return err <= tol, shown_err, shown_tol
-    return shown_err <= 1e-9, shown_err, 1e-9
+    passed = err <= tol  # decided in units of 2^k, where neither side underflows
+    if k:
+        with np.errstate(over="ignore"):  # a length beyond the float range shows as inf
+            err, tol = np.ldexp((err, tol), k).tolist()
+    return (passed, err, tol) if relative else (err <= 1e-9, err, 1e-9)
 
 
 def _moved(x: Vector, t: float, w: Vector, refusal: str) -> Vector:
@@ -112,6 +113,7 @@ def default_radii(delta: float) -> tuple[float, ...]:
 class ResidualScan(NamedTuple):
     radii: tuple[float, ...]
     residuals: tuple[float, ...]
+    direction: Vector | None = None  # the first u draw's unit direction g/‖g‖ (see the scan)
 
     def worst_decay_ratio(self) -> float:
         """Largest consecutive residual ratio (identically-zero pairs count as 0).  Radii
@@ -159,14 +161,18 @@ def strict_residual_scan(
     that rounds onto one point is skipped.  A radius is refused with ValueError where
     max|x_i| + 2ρ leaves the float range (points reach max|x_i| + ρ and their
     differences 2ρ), and where no pair moves the base point in floating point.
+    ``direction`` is g/‖g‖ for the first u draw g, the first n normals of ``default_rng(seed)``.
     """
-    base = as_vector(base)
+    base = np.asarray(base, dtype=np.float64)  # only read, never kept: no copy
+    if base.ndim != 1 or base.size == 0:
+        raise ValueError("expected a 1-D vector with at least one coordinate")
+    if not math.isfinite(reach := float(np.max(np.abs(base)))):
+        raise ValueError("vector coordinates must be finite")
     radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0.0 or not np.isfinite(r) for r in radii):
+    if not radii or any(r <= 0.0 or not math.isfinite(r) for r in radii):
         raise ValueError("radii must be positive and finite")
     if samples_per_radius < 1:
         raise ValueError("samples_per_radius must be at least 1")
-    reach = float(np.max(np.abs(base)))
     for radius in radii:
         if not math.isfinite(reach + 2.0 * radius):  # Python floats overflow to inf silently
             raise ValueError(f"scan radius {radius:.17g} leaves the float range")
@@ -184,6 +190,8 @@ def strict_residual_scan(
     moved = np.zeros(len(radii), dtype=bool)
     for start in range(0, samples_per_radius, chunk):
         g = rng.standard_normal((min(chunk, samples_per_radius - start), 2, dim))
+        if not start:  # the first u draw, before g is scaled in place below
+            direction = g[0, 0] / norm(g[0, 0])
         g *= rng.random((len(g), 2, 1)) ** (1.0 / dim) / np.sqrt(np.vecdot(g, g))[..., None]
         g = g.transpose(1, 0, 2)[:, None]  # (2, 1, pairs, n): u draws, then v draws
         pairs = g.shape[2]
@@ -213,7 +221,7 @@ def strict_residual_scan(
             raise ValueError(
                 f"scan radius {radius:.17g} does not move the base point in floating point"
             )
-    return ResidualScan(radii=radii, residuals=tuple(worst.tolist()))
+    return ResidualScan(radii=radii, residuals=tuple(worst.tolist()), direction=direction)
 
 
 class Refutation(NamedTuple):
@@ -237,8 +245,7 @@ def refute_linearity(f: Callable[[Vector], Vector], x, d, step: float = FD_STEP)
     no Fréchet derivative exists.
     """
     x, d = as_vector(x), as_vector(d)
-    _same_dim(x, d)
-    limits = _quotients(f, x, np.stack((d, -d)), step)
+    limits = _quotients(f, x, np.stack((_same_dim(x, d), -d)), step)
     forward, backward = limits[0], -limits[1]
     gap = float(norm(forward - backward))
     return Refutation(direction=d, forward_limit=forward, backward_limit=backward, gap=gap)
@@ -253,7 +260,11 @@ def refutation_threshold(ball: Ball | None, x, d, step: float = FD_STEP) -> floa
     no curvature term, and x_d is x on d's support (coordinates d does not move stay exact).
     """
     x, d = as_vector(x), as_vector(d)
-    _same_dim(x, d)
+    return _threshold(ball, x, _same_dim(x, d), step)
+
+
+def _threshold(ball: Ball | None, x: Vector, d: Vector, step: float) -> float:
+    """``refutation_threshold`` on a checked x and a checked d of its dimension, unchecked."""
     nd, t = float(norm(d)), float(step)
     if ball:
         return 100.0 * (t * nd * (nd / ball.radius) + _EPS * (float(norm(x)) + nd) / t)
@@ -282,10 +293,7 @@ def qp_projection_oracle(ball: Ball | None, x, p) -> float:
     """
     x, p = as_vector(x), as_vector(p)
     _same_dim(x, p)
-    rest = ()
-    if ball:
-        _same_dim(x, ball.center)
-        rest = (ball.center, [ball.radius])
+    rest = (_same_dim(x, ball.center), [ball.radius]) if ball else ()
     n = x.size
     s, _ = _scaled(np.concatenate((x, p, *rest)))
     x, p = s[:n], s[n : 2 * n]

@@ -660,9 +660,9 @@ def test_a_job_classifies_its_point_once(tmp_path, capsys, monkeypatch, job, nam
 
 
 # verify copied and checked the loader's vectors again and again: 12 coercions in this
-# ball job and 10 in the cone_rn job, one per scan block and two in the fd_match quotient.
-# What is left: the projection of x, the oracle's x and p, the derivative's x and the
-# scan's base point, each a public function checking its own input
+# ball job and 10 in the cone_rn job, one per scan block and two in the fd_match quotient,
+# then 5 with the derivative's x and the scan's base point.  What is left: the public
+# projection of x and the oracle's x and p (the oracle audits p, so it checks its own input)
 @pytest.mark.parametrize(
     "job",
     [
@@ -676,21 +676,41 @@ def test_a_verify_job_coerces_each_vector_once_per_public_call(tmp_path, capsys,
     for name in ("as_vector", "as_points"):
         count_calls(monkeypatch, name, projderiv.vectors, calls)
     code, out, err = run(tmp_path, capsys, job)
-    assert (code, err, len(calls)) == (0, "", 5)
+    assert (code, err, len(calls)) == (0, "", 3)
     assert out.count("VERDICT") == 3
+
+
+# a default-w verify built a second generator on the scan's seed for the fd_match
+# direction, and a ball formed x − c three times: in the projection, in the derivative
+# and again for the centred frame, which the exterior derivative's anchor already holds
+@pytest.mark.parametrize(
+    "job,offsets",
+    [
+        (ball_job("verify", [1, -1], 1, inputs={"x": [3, 0.5]}), 2),
+        ({"command": "verify", "set": {"kind": "cone_rn"}, "inputs": {"x": [1, -2, 3]}}, 0),
+    ],
+    ids=["ball-exterior", "cone_rn"],
+)
+def test_a_default_w_verify_job_draws_once_and_forms_x_minus_c_twice(tmp_path, capsys, monkeypatch, job, offsets):
+    generators, make = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: generators.append(args) or make(*args))
+    calls = count_calls(monkeypatch, "_offset", projderiv.balls)
+    code, out, err = run(tmp_path, capsys, job)
+    assert (code, err, len(generators), len(calls)) == (0, "", 1, offsets)
+    assert "VERDICT fd_match pass" in out
 
 
 # refute coerced the same vectors up to 12 times: refute_linearity's d, then x and ±d in
 # each of its two quotients, and the public projection's points in each of its four calls
-# of f. What is left: cone_refute_frechet's x, refute_linearity's x and d (its (d, −d)
-# stack goes to the quotient unchecked), and the threshold's x and d (no cone partition
-# on a ball)
+# of f, then 5/4/4 with the threshold's x and d. What is left: cone_refute_frechet's x
+# and refute_linearity's x and d (its (d, −d) stack goes to the quotient unchecked; no
+# cone partition on a ball)
 @pytest.mark.parametrize(
     "job,most",
     [
-        ({"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [0, 1, -1]}}, 5),
-        (ball_job("refute", [1, -2, 0.5], 1.5, inputs={"x": [2.5, -2, 0.5]}), 4),
-        (ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8], "d": [1, 1]}), 4),
+        ({"command": "refute", "set": {"kind": "cone_rn"}, "inputs": {"x": [0, 1, -1]}}, 3),
+        (ball_job("refute", [1, -2, 0.5], 1.5, inputs={"x": [2.5, -2, 0.5]}), 2),
+        (ball_job("refute", [0, 0], 1, inputs={"x": [0.6, 0.8], "d": [1, 1]}), 2),
     ],
     ids=["cone_rn-axis", "ball-sphere", "ball-given-d"],
 )
@@ -698,7 +718,7 @@ def test_a_refute_job_coerces_each_vector_once(tmp_path, capsys, monkeypatch, jo
     calls = count_calls(monkeypatch, "_finite_copy", projderiv.vectors)
     code, out, err = run(tmp_path, capsys, job)
     assert (code, err) == (0, "") and out.count("VERDICT not_frechet pass") == 1
-    assert len(calls) <= most
+    assert len(calls) == most
 
 
 # refute on a ball ran its unchecked kernel on an x of another length than the center:

@@ -2,8 +2,9 @@
 
 Every CLI job runs in a fresh interpreter, so what ``import projderiv.cli`` loads beyond
 numpy is paid by each job.  ``dataclasses`` (code generation for every class),
-``fractions`` with ``decimal`` (used by ``sequences.distance`` alone, across differing tails),
-and ``argparse`` with ``gettext`` (for one ``--job`` flag) stay out of that import."""
+``fractions`` with ``decimal`` (once used by ``sequences.distance``, across differing tails,
+and loaded by no call since), and ``argparse`` with ``gettext`` (for one ``--job`` flag)
+stay out of that import."""
 
 import json
 import math
@@ -29,7 +30,7 @@ added = sorted(set(sys.modules) - before)
 from projderiv import GeometricTail, SeqVector, distance
 x = SeqVector({}, GeometricTail(1.0, 0.5, 1))
 y = SeqVector({2: 3.0}, GeometricTail(1.0, 0.25, 1))
-print(json.dumps({"added": added, "distance": distance(x, y)}))
+print(json.dumps({"added": added, "distance": distance(x, y), "loaded": sorted(sys.modules)}))
 """
 
 
@@ -40,7 +41,9 @@ def test_importing_the_cli_loads_no_dataclasses_fractions_decimal_or_argparse():
     probe = json.loads(proc.stdout)
     assert "projderiv.cli" in probe["added"]
     assert not {"dataclasses", "fractions", "decimal", "argparse", "gettext"} & set(probe["added"])
-    # the one use of Fraction still runs in that interpreter, and is exact: over j ≥ 0,
+    # distance across differing tails sums its exact series with ints, and loads neither
+    assert not {"fractions", "decimal"} & set(probe["loaded"])
+    # and that sum is exact: over j ≥ 0,
     # Σ (2^-j − 4^-j)² = 4/3 − 16/7 + 16/15 = 4/35, and y's override swaps (1/2 − 1/4)² for (1/2 − 3)²
     x = SeqVector({}, GeometricTail(1.0, 0.5, 1))
     y = SeqVector({2: 3.0}, GeometricTail(1.0, 0.25, 1))

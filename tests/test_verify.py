@@ -466,6 +466,32 @@ def test_scan_refuses_a_map_that_writes_its_argument(writer):
         strict_residual_scan(*maps, base)
 
 
+# verify's default fd_match direction came from a second generator on the same seed,
+# whose n normals are the scan's first u draw; the scan now hands that draw back.  Past
+# n = 2^16 each chunk holds one pair, so the first draw is the whole first chunk's u point
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.sampled_from([1, 2, 16, 1000, 70000]),
+    samples=st.sampled_from([1, 64]),
+)
+def test_the_scan_direction_is_the_seeds_first_unit_normal_bit_for_bit(seed, n, samples):
+    scan = strict_residual_scan(lambda v: v, lambda w: w, np.zeros(n), (1e-2,), samples, seed)
+    g = np.random.default_rng(seed).standard_normal(n)
+    want = g / verify.norm(g)
+    assert scan.direction.shape == (n,) and scan.direction.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "base,message",
+    [([np.nan, 1.0], "vector coordinates must be finite"), ([[1.0]], "expected a 1-D vector"), ([], "expected a 1-D vector")],
+    ids=["nan", "stack", "empty"],
+)
+def test_the_scan_refuses_a_base_that_is_not_a_finite_vector(base, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        strict_residual_scan(lambda v: v, lambda w: w, base)
+
+
 def _ball_at_one():
     ball = Ball(center=[0.0], radius=0.5)
     return (lambda p: project_ball(ball, p)), ball_frechet_derivative(ball, [1.0]).apply
